@@ -85,30 +85,34 @@ def make_algebra(p: int, dim: int, table, alpha: int = 1, beta: int = 1) -> Alge
     return Algebra(p, dim, T.copy(), alpha, beta)
 
 
+def _products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """out[a, b, :] = sum_ij X[a,i] Y[b,j] T[i,j,:] mod p, without validation.
+
+    X and Y are stacks of rows or single vectors, reduced mod p; the result
+    has shape X.shape[:-1] + Y.shape[:-1] + (d,).  X is contracted first and
+    reduced mod p before Y is; linalg.matmul falls back to exact object
+    arithmetic when d*(p-1)^2 could overflow int64.
+    """
+    d = T.shape[0]
+    Z = linalg.matmul(X, T.reshape(d, d * d), p).reshape(X.shape[:-1] + (d, d))
+    return linalg.matmul(Y, Z, p)
+
+
 def product(A: Algebra, x, y) -> np.ndarray:
     """Bilinear product of two coordinate vectors."""
     xv = linalg.as_vec(x, A.p, A.dim)
     yv = linalg.as_vec(y, A.p, A.dim)
-    d, p = A.dim, A.p
-    if d == 0:
-        return A.zero()
-    if (p - 1) ** 2 * d < 2**63:
-        # z[j,k] = sum_i x_i T[i,j,k], reduced before the second contraction
-        z = (xv @ A.table.reshape(d, -1)).reshape(d, d) % p
-        return (yv @ z) % p
-    xy = np.outer(xv, yv) % p
-    acc = np.einsum("ij,ijk->k", xy.astype(object), A.table.astype(object)) % p
-    return np.asarray(acc, dtype=np.int64)
+    return _products(A.table, xv, yv, A.p)
 
 
 def left_normalized_product(A: Algebra, elements) -> np.ndarray:
     """[x1, x2, ..., xs] folded as [...[[x1,x2],x3]...,xs]."""
-    elems = list(elements)
+    elems = [linalg.as_vec(e, A.p, A.dim) for e in elements]
     if not elems:
         raise InputError("need at least one element")
-    acc = linalg.as_vec(elems[0], A.p, A.dim)
+    acc = elems[0]
     for e in elems[1:]:
-        acc = product(A, acc, e)
+        acc = _products(A.table, acc, e, A.p)
     return acc
 
 
@@ -126,28 +130,41 @@ class IdentityReport:
     failures: tuple[IdentityFailure, ...]
 
 
+def _identity_defects(tables: np.ndarray, p: int, alpha: int, beta: int):
+    """Both sides of the identity on every basis triple of a batch of tables.
+
+    tables has shape (B, d, d, d) with entries reduced mod p.  Returns
+    (defects, lhs, rhs): lhs[b,i,j,k] = [[b_i,b_j],b_k], rhs[b,i,j,k] =
+    alpha*[b_i,[b_j,b_k]] + beta*[[b_i,b_k],b_j], and defects[b,i,j,k] is
+    True where the two differ.  Contractions are exact (linalg.matmul).
+    """
+    B, d = tables.shape[:2]
+    flat = tables.reshape(B, d * d, d)
+    # lhs[b,i,j,k,l] = sum_m T[i,j,m] T[m,k,l]
+    lhs = linalg.matmul(flat, tables.reshape(B, d, d * d), p).reshape(B, d, d, d, d)
+    # [b_i,[b_j,b_k]]_l = sum_m T[j,k,m] T[i,m,l]: contract m against T[m,i,l]
+    rhs = linalg.matmul(flat, tables.transpose(0, 2, 1, 3).reshape(B, d, d * d), p)
+    rhs = rhs.reshape(B, d, d, d, d).transpose(0, 3, 1, 2, 4)
+    rhs *= alpha
+    # [[b_i,b_k],b_j] is lhs with j and k swapped
+    rhs += beta * lhs.transpose(0, 1, 3, 2, 4)
+    rhs %= p
+    return (lhs != rhs).any(axis=-1), lhs, rhs
+
+
 def check_identity_uniform(A: Algebra) -> IdentityReport:
     """Certify [[a,b],c] = alpha*[a,[b,c]] + beta*[[a,c],b] on all basis triples.
 
     Passing on every triple certifies the identity for all elements of the
     algebra (both sides are trilinear).  The report lists each failing triple
-    with both evaluated sides.
+    with both evaluated sides, in lexicographic triple order.
     """
-    p, d, T = A.p, A.dim, A.table
-    failures = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = product(A, T[i, j], A.basis_vector(k))
-                rhs = (
-                    A.alpha * product(A, A.basis_vector(i), T[j, k])
-                    + A.beta * product(A, T[i, k], A.basis_vector(j))
-                ) % p
-                if not np.array_equal(lhs, rhs):
-                    failures.append(
-                        IdentityFailure((i, j, k), tuple(lhs.tolist()), tuple(rhs.tolist()))
-                    )
-    return IdentityReport(not failures, d**3, tuple(failures))
+    defects, lhs, rhs = _identity_defects(A.table[None], A.p, A.alpha, A.beta)
+    failures = tuple(
+        IdentityFailure(tuple(t), tuple(lhs[(0, *t)].tolist()), tuple(rhs[(0, *t)].tolist()))
+        for t in np.argwhere(defects[0]).tolist()
+    )
+    return IdentityReport(not failures, A.dim**3, failures)
 
 
 def identity_holds_for(A: Algebra, a, b, c, alpha: int | None = None,
@@ -199,5 +216,5 @@ def subspace_product(A: Algebra, M: Subspace, N: Subspace) -> Subspace:
         raise InputError("subspaces do not live in this algebra")
     if M.is_zero() or N.is_zero():
         return A.zero_space()
-    prods = [product(A, m, n) for m in M.basis for n in N.basis]
-    return linalg.span(prods, A.p, A.dim)
+    prods = _products(A.table, M.basis, N.basis, A.p)
+    return linalg.span(prods.reshape(-1, A.dim), A.p, A.dim)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, product
+from .algebra import Algebra, _products
 from .errors import (
     DiagonalizationError,
     InputError,
@@ -87,17 +87,14 @@ def check_automorphism(A: Algebra, g) -> AutomorphismReport:
         invertible = True
     except InputError:
         invertible = False
-    failures = []
-    for i in range(A.dim):
-        gi = g[:, i]  # image of b_i
-        for j in range(A.dim):
-            img = linalg.matmul(g, A.table[i, j].reshape(-1, 1), A.p)[:, 0]
-            prod = product(A, gi, g[:, j])
-            if not np.array_equal(img, prod):
-                failures.append(
-                    AutomorphismFailure((i, j), tuple(img.tolist()), tuple(prod.tolist()))
-                )
-    return AutomorphismReport(invertible and not failures, invertible, tuple(failures))
+    d = A.dim
+    img = linalg.matmul(A.table.reshape(d * d, d), g.T, A.p).reshape(d, d, d)
+    prod = _products(A.table, g.T, g.T, A.p)  # [g b_i, g b_j]
+    failures = tuple(
+        AutomorphismFailure((i, j), tuple(img[i, j].tolist()), tuple(prod[i, j].tolist()))
+        for i, j in np.argwhere((img != prod).any(axis=-1)).tolist()
+    )
+    return AutomorphismReport(invertible and not failures, invertible, failures)
 
 
 def matrix_order(g, p: int, cap: int = 10_000) -> Optional[int]:
@@ -179,14 +176,6 @@ class EigenGradingResult:
     omega: int
     components: tuple[Subspace, ...]  # eigenspaces in the ORIGINAL coordinates
 
-    def to_adapted(self, g) -> np.ndarray:
-        """Transport a column-action matrix into the adapted basis."""
-        p = self.algebra.p
-        C = self.change_of_basis
-        Cinv = linalg.mat_inv(C, p)
-        # column coords transform by C^T, so maps conjugate by its inverse
-        return linalg.matmul(linalg.matmul(Cinv.T % p, linalg.as_mat(g, p), p), C.T % p, p)
-
 
 def eigen_grading(A: Algebra, phi, n: int) -> EigenGradingResult:
     """Split L into eigenspaces L_i = ker(phi - omega^i I) and regrade.
@@ -230,12 +219,10 @@ def eigen_grading(A: Algebra, phi, n: int) -> EigenGradingResult:
         C = np.vstack(blocks)
         degrees = tuple(i for i, c in enumerate(comps) for _ in range(c.rank))
 
-    Cinv = linalg.mat_inv(C, A.p) if A.dim else C
-    new_table = np.zeros_like(A.table)
-    for a in range(A.dim):
-        for b in range(A.dim):
-            old = product(A, C[a], C[b])
-            new_table[a, b] = linalg.matmul(old.reshape(1, -1), Cinv, A.p)[0]
+    d = A.dim
+    Cinv = linalg.mat_inv(C, A.p) if d else C
+    old = _products(A.table, C, C, A.p)  # [c_a, c_b] in old coordinates
+    new_table = linalg.matmul(old.reshape(d * d, d), Cinv, A.p).reshape(d, d, d)
     rebased = Algebra(A.p, A.dim, new_table, A.alpha, A.beta)
     G = Grading(n, degrees)
 
@@ -266,16 +253,22 @@ class PermutationReport:
 def h_permutation_check(A: Algebra, G: Grading, fd: FrobeniusData) -> PermutationReport:
     """Verify h maps each component L_i onto L_{r*i mod n}.
 
-    A and G must live in the same basis as fd's matrices (use
-    EigenGradingResult.to_adapted when working in the adapted basis).
+    A and G must live in the same basis as fd's matrices.
     """
     n, r = fd.triple.n, fd.triple.r
     if G.n != n:
         raise InputError(f"grading modulus {G.n} != action modulus {n}")
-    failures = []
-    for i in range(n):
-        img = linalg.apply_to_subspace(component(A, G, i), fd.h, A.p)
-        target = component(A, G, (r * i) % n)
-        if img != target:
-            failures.append(PermutationFailure(i, (r * i) % n))
-    return PermutationReport(not failures, n, tuple(failures))
+    comps = tuple(component(A, G, i) for i in range(n))
+    failures = tuple(
+        PermutationFailure(i, (r * i) % n) for i in _untwisted_components(comps, fd.h, r)
+    )
+    return PermutationReport(not failures, n, failures)
+
+
+def _untwisted_components(comps: tuple[Subspace, ...], h, r: int) -> list[int]:
+    """Indices i (ascending) where h does not map comps[i] onto comps[r*i mod n]."""
+    n = len(comps)
+    return [
+        i for i in range(n)
+        if linalg.apply_to_subspace(comps[i], h, comps[i].p) != comps[(r * i) % n]
+    ]

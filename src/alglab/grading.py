@@ -57,15 +57,13 @@ def check_grading(A: Algebra, G: Grading) -> GradingReport:
     """Verify [b_i, b_j] lands in the component of degree deg(i)+deg(j) mod n."""
     _check_dims(A, G)
     deg = np.asarray(G.degrees, dtype=np.int64)
-    violations = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            target = int((deg[i] + deg[j]) % G.n)
-            vec = A.table[i, j]
-            stray = [k for k in np.flatnonzero(vec).tolist() if G.degrees[k] != target]
-            if stray:
-                violations.append(GradingViolation((i, j), target, tuple(stray)))
-    return GradingReport(not violations, A.dim**2, tuple(violations))
+    target = (deg[:, None] + deg[None, :]) % G.n
+    stray = (A.table != 0) & (deg[None, None, :] != target[:, :, None])
+    violations = tuple(
+        GradingViolation((i, j), int(target[i, j]), tuple(np.flatnonzero(stray[i, j]).tolist()))
+        for i, j in np.argwhere(stray.any(axis=-1)).tolist()
+    )
+    return GradingReport(not violations, A.dim**2, violations)
 
 
 def component(A: Algebra, G: Grading, i: int) -> Subspace:
@@ -97,6 +95,3 @@ def is_homogeneous(A: Algebra, G: Grading, H: Subspace) -> tuple[bool, list[Subs
     parts = [linalg.intersect(H, component(A, G, i)) for i in range(G.n)]
     return sum(part.rank for part in parts) == H.rank, parts
 
-
-def homogeneous_pairs_product_degree(G: Grading, i: int, j: int) -> int:
-    return (i + j) % G.n

@@ -10,7 +10,7 @@ stop on exact repeats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -130,15 +130,6 @@ class Subspace:
 
     def contains(self, v) -> bool:
         return member(self, v)
-
-    def vectors(self) -> Iterable[np.ndarray]:
-        """All p^rank elements (small subspaces only; used by oracles and closures)."""
-        if self.rank == 0:
-            yield np.zeros(self.ambient, dtype=np.int64)
-            return
-        for digits in np.ndindex(*([self.p] * self.rank)):
-            coeffs = np.asarray(digits, dtype=np.int64)
-            yield matmul(coeffs.reshape(1, -1), self.basis, self.p)[0]
 
 
 def zero_subspace(p: int, ambient: int) -> Subspace:

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, product
+from .algebra import Algebra, _products
 from .errors import InputError, ParseError
 
 
@@ -223,25 +223,39 @@ def evaluate(
     Assignment keys may be Atom objects (per occurrence) or names (shared by
     every occurrence of that spelling).
     """
+    value = _assigned_vectors(assignment, A)
     if isinstance(t, LinearCombo):
         if t.p != A.p:
             raise InputError(f"combo is over F_{t.p}, algebra over F_{A.p}")
         acc = A.zero()
         for word, coeff in t.terms:
-            val = _eval_word(word, assignment, A)
-            acc = (acc + coeff * val) % A.p
+            acc = (acc + coeff * _eval_word(word, value, A)) % A.p
         return acc
-    if isinstance(t, Atom):
-        return linalg.as_vec(_lookup(assignment, t), A.p, A.dim)
-    return product(
-        A, evaluate(t.left, assignment, A), evaluate(t.right, assignment, A)
-    )
+
+    def ev(term: BracketTerm) -> np.ndarray:
+        if isinstance(term, Atom):
+            return value(term)
+        return _products(A.table, ev(term.left), ev(term.right), A.p)
+
+    return ev(t)
 
 
-def _eval_word(word: Word, assignment: Mapping, A: Algebra) -> np.ndarray:
-    acc = linalg.as_vec(_lookup(assignment, word[0]), A.p, A.dim)
+def _assigned_vectors(assignment: Mapping, A: Algebra):
+    """Atom -> its assigned vector, validated once per atom."""
+    cache: dict[Atom, np.ndarray] = {}
+
+    def value(atom: Atom) -> np.ndarray:
+        if atom not in cache:
+            cache[atom] = linalg.as_vec(_lookup(assignment, atom), A.p, A.dim)
+        return cache[atom]
+
+    return value
+
+
+def _eval_word(word: Word, value, A: Algebra) -> np.ndarray:
+    acc = value(word[0])
     for atom in word[1:]:
-        acc = product(A, acc, linalg.as_vec(_lookup(assignment, atom), A.p, A.dim))
+        acc = _products(A.table, acc, value(atom), A.p)
     return acc
 
 

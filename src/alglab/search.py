@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, _identity_defects
 from .errors import FormatError, InputError
 from .formats import LoadedAlgebra, to_document
 from .frobenius import NQRTriple, validate_nqr
@@ -170,41 +170,22 @@ def candidate_count(spec: CorpusSpec) -> int:
     return spec.p ** len(admissible_slots(spec))
 
 
-def _coeff_block(spec: CorpusSpec, slots, start: int, stop: int) -> np.ndarray:
-    """Candidate coefficients for indices [start, stop) as a (stop-start, nslots) array."""
-    count = stop - start
-    ns = len(slots)
-    out = np.zeros((count, ns), dtype=np.int64)
-    if spec.mode == "exhaustive":
-        idx = np.arange(start, stop, dtype=np.int64)
-        for pos in range(ns - 1, -1, -1):
-            out[:, pos] = idx % spec.p
-            idx //= spec.p
-    else:
-        rng = random.Random(spec.seed)
-        # reproduce the stream deterministically regardless of chunking
-        flat = [rng.randrange(spec.p) for _ in range(stop * ns)]
-        out[:] = np.asarray(flat[start * ns :], dtype=np.int64).reshape(count, ns)
+def _exhaustive_block(p: int, nslots: int, start: int, stop: int) -> np.ndarray:
+    """Mixed-radix digits of indices [start, stop) as a (stop-start, nslots) array."""
+    out = np.zeros((stop - start, nslots), dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int64)
+    for pos in range(nslots - 1, -1, -1):
+        out[:, pos] = idx % p
+        idx //= p
     return out
 
 
-def _batch_identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int) -> np.ndarray:
-    """Vectorized identity check over a batch of tables (B, d, d, d)."""
-    d = tables.shape[1]
-    if d == 0:
-        return np.ones(tables.shape[0], dtype=bool)
-    if d * (p - 1) ** 2 >= 2**63:
-        from .algebra import check_identity_uniform, make_algebra
-
-        return np.asarray(
-            [check_identity_uniform(make_algebra(p, d, t, alpha, beta)).ok for t in tables]
-        )
-    T = tables
-    lhs = np.einsum("bijm,bmkl->bijkl", T, T) % p
-    rhs1 = np.einsum("bjkm,biml->bijkl", T, T) % p
-    rhs2 = np.einsum("bikm,bmjl->bijkl", T, T) % p
-    diff = (lhs - alpha * rhs1 - beta * rhs2) % p
-    return ~diff.reshape(diff.shape[0], -1).any(axis=1)
+def _random_stream(spec: CorpusSpec, nslots: int) -> np.ndarray:
+    """The whole seeded coefficient stream, one row per sample, drawn in order."""
+    rng = random.Random(spec.seed)
+    count = spec.samples * nslots
+    flat = np.fromiter((rng.randrange(spec.p) for _ in range(count)), np.int64, count)
+    return flat.reshape(spec.samples, nslots)
 
 
 @dataclass(frozen=True)
@@ -257,7 +238,8 @@ def _threads() -> int:
         return 1
 
 
-def _survivors_of_chunk(spec: CorpusSpec, slots, start: int, stop: int) -> list[Survivor]:
+def _survivors_of_chunk(spec: CorpusSpec, slots, start: int, coeffs: np.ndarray) -> list[Survivor]:
+    """Survivors among the candidates start, start+1, ... with coefficient rows coeffs."""
     from .grading import check_grading
 
     degrees = spec.degrees
@@ -267,13 +249,13 @@ def _survivors_of_chunk(spec: CorpusSpec, slots, start: int, stop: int) -> list[
         if spec.selective is not None
         else None
     )
-    coeffs = _coeff_block(spec, slots, start, stop)
     d = spec.dim
     tables = np.zeros((coeffs.shape[0], d, d, d), dtype=np.int64)
     for pos, (i, j, k) in enumerate(slots):
         tables[:, i, j, k] = coeffs[:, pos]
     if spec.identity_filter:
-        mask = _batch_identity_mask(tables, spec.p, spec.alpha % spec.p, spec.beta % spec.p)
+        defects = _identity_defects(tables, spec.p, spec.alpha % spec.p, spec.beta % spec.p)[0]
+        mask = ~defects.reshape(len(tables), -1).any(axis=1)
     else:
         mask = np.ones(tables.shape[0], dtype=bool)
     out = []
@@ -302,14 +284,22 @@ def search(spec: CorpusSpec) -> SearchResult:
     slots = admissible_slots(spec)
     total = candidate_count(spec)
     ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
+    stream = _random_stream(spec, len(slots)) if spec.mode == "random" else None
+
+    def run(se):
+        start, stop = se
+        if stream is not None:
+            coeffs = stream[start:stop]
+        else:
+            coeffs = _exhaustive_block(spec.p, len(slots), start, stop)
+        return _survivors_of_chunk(spec, slots, start, coeffs)
+
     workers = _threads()
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda se: _survivors_of_chunk(spec, slots, *se), ranges)
-            )
+            chunks = list(pool.map(run, ranges))
     else:
-        chunks = [_survivors_of_chunk(spec, slots, *se) for se in ranges]
+        chunks = [run(se) for se in ranges]
     survivors = [s for chunk in chunks for s in chunk]
     return SearchResult(spec, total, tuple(survivors), tuple(_summarize(spec, survivors)))
 

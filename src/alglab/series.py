@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, product, subspace_product
+from .algebra import Algebra, _products, subspace_product
 from .errors import InputError
 from .linalg import Subspace
 
@@ -113,15 +113,13 @@ def centralizer(A: Algebra, T: Subspace) -> Subspace:
         raise InputError("subspace does not live in this algebra")
     if T.is_zero() or A.dim == 0:
         return A.full_space()
-    rows = []
-    for t in T.basis:
-        # right multiplication x -> [x, t]: row block (k, i) = [e_i, t]_k
-        right = np.stack([product(A, A.basis_vector(i), t) for i in range(A.dim)])
-        # left multiplication x -> [t, x]
-        left = np.stack([product(A, t, A.basis_vector(i)) for i in range(A.dim)])
-        rows.append(right.T)
-        rows.append(left.T)
-    return linalg.nullspace(np.vstack(rows), A.p)
+    d, r = A.dim, T.rank
+    eye = np.eye(d, dtype=np.int64)
+    right = _products(A.table, eye, T.basis, A.p)  # right[i, s] = [e_i, t_s]
+    left = _products(A.table, T.basis, eye, A.p)   # left[s, i] = [t_s, e_i]
+    # per basis vector t_s: the block of x -> [x, t_s], then that of x -> [t_s, x]
+    rows = np.stack([right.transpose(1, 2, 0), left.transpose(0, 2, 1)], axis=1)
+    return linalg.nullspace(rows.reshape(2 * r * d, d), A.p)
 
 
 # -- numeric bounds ----------------------------------------------------------

@@ -18,7 +18,7 @@ from . import rdep
 from .algebra import check_identity_uniform
 from .errors import AlgLabError, HypothesisError, InputError
 from .formats import LoadedAlgebra
-from .frobenius import NQRTriple, eigen_grading
+from .frobenius import NQRTriple, _untwisted_components, eigen_grading
 from .grading import check_grading, component_count, nontrivial_components
 from .rdep import d_set, index_split_check, is_r_independent
 from .series import derived_length, kreknin_shalev_bound, nilpotency_class
@@ -184,13 +184,7 @@ def _check_frobenius(loaded: LoadedAlgebra) -> CheckResult:
     except AlgLabError as exc:
         return CheckResult(name, Status.VIOLATION, f"eigenspace decomposition failed: {exc}")
     # check the permutation law on the eigenspaces, in original coordinates
-    from . import linalg
-
-    failures = []
-    for i in range(fd.triple.n):
-        img = linalg.apply_to_subspace(egr.components[i], fd.h, A.p)
-        if img != egr.components[(fd.triple.r * i) % fd.triple.n]:
-            failures.append(i)
+    failures = _untwisted_components(egr.components, fd.h, fd.triple.r)
     if failures:
         return CheckResult(
             name, Status.VIOLATION,

@@ -104,6 +104,40 @@ def test_thread_count_does_not_change_output(monkeypatch):
     assert seq.summary == par.summary
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_random_stream_independent_of_chunking_and_threads(monkeypatch, chunk, threads):
+    import alglab.search as search_mod
+
+    spec = CorpusSpec(p=3, n=3, component_dims=(0, 1, 1), mode="random",
+                      seed=99, samples=500)
+    want = search(spec)
+    monkeypatch.setattr(search_mod, "CHUNK", chunk)
+    monkeypatch.setenv("ALGLAB_THREADS", threads)
+    got = search(spec)
+    assert len(want.survivors) > 1
+    assert [s.index for s in got.survivors] == [s.index for s in want.survivors]
+    assert [s.algebra.table.tobytes() for s in got.survivors] == [
+        s.algebra.table.tobytes() for s in want.survivors
+    ]
+    assert got.summary == want.summary
+
+
+def test_random_candidates_follow_the_seeded_draws():
+    import random
+
+    spec = CorpusSpec(p=3, n=3, component_dims=(0, 1, 1), mode="random",
+                      seed=99, samples=500, identity_filter=False)
+    slots = admissible_slots(spec)
+    rng = random.Random(spec.seed)
+    draws = [rng.randrange(spec.p) for _ in range(spec.samples * len(slots))]
+    res = search(spec)
+    assert [s.index for s in res.survivors] == list(range(spec.samples))
+    for s in res.survivors:
+        row = draws[s.index * len(slots):(s.index + 1) * len(slots)]
+        assert [int(s.algebra.table[slot]) for slot in slots] == row
+
+
 def test_spec_from_document_and_file(tmp_path):
     doc = {
         "p": 2, "n": 3, "component_dims": [0, 1, 1],
