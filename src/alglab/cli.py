@@ -22,7 +22,7 @@ from .grading import nontrivial_components
 from .rdep import d_set, is_r_dependent, rigid_subsequence
 from .series import derived_series, lower_central_series
 
-SEQ_CAP = 6  # exponent scans grow like q^k; keep CLI inputs desk-scale
+SEQ_CAP = 6  # desk-scale sequences; rigid's backtracking still branches over the values
 
 
 def _fail(code: int, message: str):

@@ -146,21 +146,22 @@ def span(vectors, p: int, ambient: int | None = None) -> Subspace:
     ambient is required when the vector list is empty.
     """
     check_prime(p)
-    rows = [as_vec(v, p) for v in vectors]
-    if rows:
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        M = as_mat(vectors, p)  # one block, validated once rather than row by row
+    else:
+        rows = [as_vec(v, p) for v in vectors]
         lengths = {r.shape[0] for r in rows}
         if len(lengths) > 1:
             raise InputError(f"mixed vector lengths {sorted(lengths)}")
-        dim = lengths.pop()
-        if ambient is not None and ambient != dim:
-            raise InputError(f"vectors have length {dim}, expected ambient {ambient}")
-    else:
+        M = np.stack(rows) if rows else None
+    if M is None or M.shape[0] == 0:
         if ambient is None:
             raise InputError("empty span needs an explicit ambient dimension")
-        dim = ambient
-    if not rows:
-        return zero_subspace(p, dim)
-    R, pivots = rref(np.stack(rows), p)
+        return zero_subspace(p, ambient)
+    dim = M.shape[1]
+    if ambient is not None and ambient != dim:
+        raise InputError(f"vectors have length {dim}, expected ambient {ambient}")
+    R, pivots = rref(M, p)
     return Subspace(p, dim, R[: len(pivots)].copy())
 
 

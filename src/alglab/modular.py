@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import InputError
 
 MAX_PRIME = 2**31  # desk-scale moduli only; trial division stays fast below this
@@ -58,7 +60,7 @@ def multiplicative_order(a: int, m: int) -> int | None:
     if m == 1:
         return 1
     a %= m
-    if _gcd(a, m) != 1:
+    if gcd(a, m) != 1:
         return None
     k, x = 1, a
     while x != 1:
@@ -67,10 +69,28 @@ def multiplicative_order(a: int, m: int) -> int | None:
     return k
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m >= 1, in increasing order (trial division)."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def element_of_order(p: int, n: int) -> int | None:
     """Smallest residue in F_p^* of multiplicative order exactly n, or None.
 
-    Exists iff n divides p - 1.
+    Exists iff n divides p - 1.  F_p^* has phi(n) elements of order n, so an
+    upward scan expects about (p-1)/phi(n) candidates, each tested with pow
+    against the prime factors of n.  When that costs more than listing the n
+    powers of h = g^((p-1)/n) for a generator g (the elements of order n are
+    the h^k with k prime to n), the powers are listed and the smallest taken.
     """
     check_prime(p)
     if n < 1:
@@ -79,13 +99,21 @@ def element_of_order(p: int, n: int) -> int | None:
         return None
     if n == 1:
         return 1
-    for w in range(2, p):
-        if multiplicative_order(w, p) == n:
-            return w
-    return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    primes = _prime_factors(p - 1)
+    of_n = [ell for ell in primes if n % ell == 0]
+    phi = n
+    for ell in of_n:
+        phi = phi // ell * (ell - 1)
+    if n * phi <= 32 * (p - 1):  # a pow costs some 32 multiplications
+        g = next(g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in primes))
+        h = pow(g, (p - 1) // n, p)
+        best, x = p, 1
+        for k in range(1, n):
+            x = x * h % p
+            if x < best and gcd(k, n) == 1:
+                best = x
+        return best
+    return next(
+        w for w in range(2, p)
+        if pow(w, n, p) == 1 and all(pow(w, n // ell, p) != 1 for ell in of_n)
+    )

@@ -10,6 +10,12 @@ zero; otherwise it is r-independent.  Dependence is inherited by
 supersequences (append exponent 0 to the new entries), which is what makes
 backtracking search for independent subsequences sound.
 
+Subtracting the plain sum, the condition says that the offsets
+(r^e_i - 1) * a_i sum to 0 mod n for some exponent tuple that is not all
+zero.  Every predicate here walks the sequence once and keeps the set of such
+offset sums that use a nonzero exponent, so a call costs O(k*q) shifts of a
+set of residues rather than a scan of the q^k exponent tuples.
+
 These predicates drive the component-product checks: in a graded algebra
 whose zero component vanishes, products over r-independent degree tuples are
 the ones forced to vanish by the selective nilpotency condition.
@@ -18,6 +24,7 @@ the ones forced to vanish by the selective nilpotency condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd
 from typing import Optional, Sequence
@@ -32,19 +39,129 @@ from .series import order_threshold
 
 
 def _canonical_entries(nqr: NQRTriple, entries: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for a in entries:
-        a %= nqr.n
-        if a == 0:
-            raise InputError("index sequences consist of nonzero residues mod n")
-        out.append(a)
+    out = tuple([a % nqr.n for a in entries])
+    if 0 in out:
+        raise InputError("index sequences consist of nonzero residues mod n")
     if not out:
         raise InputError("index sequence must be nonempty")
-    return tuple(out)
+    return out
 
 
-def _r_powers(nqr: NQRTriple) -> list[int]:
-    return [pow(nqr.r, e, nqr.n) for e in range(nqr.q)]
+# Up to this n a set of residues is an n-bit Python int (bit y set when y is
+# in it), so shifting the whole set costs two big-int shifts; above it, sets
+# are Python sets, whose size stays below q^k however large n is.
+_DENSE_N_CAP = 1 << 20
+_STEP_CACHE = 4096  # entries whose offsets each triple keeps
+
+
+class _Triple(dict):
+    """Constants of one (n, q, r): the twists r^e, for each distinct r^e with
+    e >= 1 the data that solves (1 - r^e) j = b (mod n) through
+    gcd(1 - r^e, n), and, as a dict, the offsets of the entries seen so far."""
+
+    def __init__(self, n: int, q: int, r: int):
+        super().__init__()
+        self.n = n
+        self.powers = tuple(pow(r, e, n) for e in range(q))
+        self.twists = tuple(dict.fromkeys(self.powers))
+        self.nonzero = tuple(dict.fromkeys(self.powers[1:]))
+        units, solvers = [], []
+        for w in self.nonzero:
+            c = (1 - w) % n
+            g = gcd(c, n)  # g = n when r^e = 1: then every j solves b = 0
+            if g == 1:
+                units.append(pow(c, -1, n))
+            else:
+                solvers.append((g, n // g, pow(c // g, -1, n // g)))
+        self.units = tuple(units)      # 1/(1 - r^e) where that is a unit mod n
+        self.solvers = tuple(solvers)  # (g, n/g, 1/((1 - r^e)/g) mod n/g) otherwise
+
+    def __missing__(self, a):
+        """The offsets (r^e - 1) a over all e, those over e >= 1, and the set
+        of the latter."""
+        n, b = self.n, int(a)
+        offsets = tuple((w - 1) * b % n for w in self.twists)
+        twisting = tuple((w - 1) * b % n for w in self.nonzero)
+        step = (offsets, twisting, self.shift(self.origin, twisting))
+        if len(self) < _STEP_CACHE:
+            self[b] = step
+        return step
+
+
+class _DenseTriple(_Triple):
+    empty, origin = 0, 1
+
+    def shift(self, s: int, offsets) -> int:
+        """The union of the cyclic shifts of s by each offset."""
+        x = 0
+        for t in offsets:
+            x |= s << t
+        return (x & ((1 << self.n) - 1)) | (x >> self.n)
+
+    @staticmethod
+    def has(s: int, y: int) -> bool:
+        return s >> y & 1 == 1
+
+    @staticmethod
+    def elements(s: int) -> list[int]:
+        return [y for y, bit in enumerate(bin(s)[:1:-1]) if bit == "1"]
+
+
+class _SparseTriple(_Triple):
+    empty, origin = frozenset(), frozenset((0,))
+    elements = staticmethod(list)
+
+    def shift(self, s: frozenset, offsets) -> frozenset:
+        n = self.n
+        return frozenset((y + t) % n for y in s for t in offsets)
+
+    @staticmethod
+    def has(s: frozenset, y: int) -> bool:
+        return y in s
+
+
+@lru_cache(maxsize=64)
+def _constants(n: int, q: int, r: int) -> _Triple:
+    return (_DenseTriple if n <= _DENSE_N_CAP else _SparseTriple)(n, q, r)
+
+
+def _reach(c: _Triple, seq: Sequence[int]):
+    """The offset sums of seq that use at least one nonzero exponent, in one
+    pass over seq."""
+    reach = c.empty
+    for a in seq:
+        offsets, _, start = c[a]
+        reach = c.shift(reach, offsets) | start
+    return reach
+
+
+def _is_dependent(nqr: NQRTriple, entries: Sequence[int]) -> bool:
+    """r-dependence without a witness."""
+    c = _constants(nqr.n, nqr.q, nqr.r)
+    return c.has(_reach(c, _canonical_entries(nqr, entries)), 0)
+
+
+def _first_witness(c: _Triple, seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically first nonzero exponent tuple whose offsets sum
+    to 0: a greedy walk against the sums reachable from each suffix."""
+    n, k = c.n, len(seq)
+    anysum = [c.origin] * (k + 1)   # offset sums of seq[i:]
+    twisted = [c.empty] * (k + 1)   # ... that use a nonzero exponent
+    for i in range(k - 1, -1, -1):
+        offsets, twisting, _ = c[seq[i]]
+        anysum[i] = c.shift(anysum[i + 1], offsets)
+        twisted[i] = c.shift(twisted[i + 1], offsets) | c.shift(anysum[i + 1], twisting)
+    exps, s = [], 0
+    for i, a in enumerate(map(int, seq)):  # numpy entries would overflow the shifts
+        for e, w in enumerate(c.powers):
+            t = (w - 1) * a % n
+            if c.has(anysum[i + 1] if e or any(exps) else twisted[i + 1], (-s - t) % n):
+                break
+        else:
+            raise InternalInvariantError(f"no witness continues {tuple(exps)} for {seq}")
+        exps.append(e)
+        s = (s + t) % n
+    return tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -57,22 +174,18 @@ class DependenceResult:
 
 
 def is_r_dependent(nqr: NQRTriple, entries: Sequence[int]) -> DependenceResult:
-    """Exhaustive scan over the q^k - 1 nonzero exponent tuples, in
-    lexicographic order; returns the first witness found."""
+    """Decide r-dependence from the offset sums reachable in one pass over
+    the sequence (O(k*q) set shifts); when dependent, the witness is the first
+    nonzero exponent tuple in lexicographic order."""
     seq = _canonical_entries(nqr, entries)
-    n, q = nqr.n, nqr.q
-    powers = _r_powers(nqr)
-    total = sum(seq) % n
-    for exps in iproduct(range(q), repeat=len(seq)):
-        if not any(exps):
-            continue
-        if sum(powers[e] * a for e, a in zip(exps, seq)) % n == total:
-            return DependenceResult(True, exps)
-    return DependenceResult(False, None)
+    c = _constants(nqr.n, nqr.q, nqr.r)
+    if not c.has(_reach(c, seq), 0):
+        return DependenceResult(False, None)
+    return DependenceResult(True, _first_witness(c, seq))
 
 
 def is_r_independent(nqr: NQRTriple, entries: Sequence[int]) -> bool:
-    return not is_r_dependent(nqr, entries).dependent
+    return not _is_dependent(nqr, entries)
 
 
 @dataclass(frozen=True)
@@ -88,46 +201,33 @@ class DSet:
 def d_set(nqr: NQRTriple, prefix: Sequence[int]) -> DSet:
     """All nonzero j making prefix + (j,) r-dependent.
 
-    The prefix must be r-independent.  The result is certified against the
-    cardinality bound q^(k+1); exceeding it would falsify a proven statement,
-    so that raises InternalInvariantError rather than returning.
+    The prefix must be r-independent.  With R the offset sums of the prefix
+    that use a nonzero exponent, prefix + (j,) is dependent exactly when
+    (1 - r^e) j = b (mod n) for some e >= 1 and some b in R or b = 0; these
+    congruences are solved through gcd(1 - r^e, n).  The result is certified
+    against the cardinality bound q^(k+1); exceeding it would falsify a
+    proven statement, so that raises InternalInvariantError rather than
+    returning.
     """
     seq = _canonical_entries(nqr, prefix)
-    if is_r_dependent(nqr, seq).dependent:
+    c = _constants(nqr.n, nqr.q, nqr.r)
+    reach = _reach(c, seq)
+    if c.has(reach, 0):
         raise InputError("d_set needs an r-independent prefix")
     n, q, k = nqr.n, nqr.q, len(seq)
-    members = _d_set_members(nqr, seq)
+    offsets = c.elements(reach | c.origin)
+    members = {b * u % n for u in c.units for b in offsets}
+    for g, m, inv in c.solvers:
+        for b in offsets:
+            if b % g == 0:
+                members.update(range(b // g * inv % m, n, m))
+    members.discard(0)
     if len(members) > q ** (k + 1):
         raise InternalInvariantError(
             f"|D{seq}| = {len(members)} exceeds q^(k+1) = {q ** (k + 1)} "
             f"for (n,q,r)=({n},{q},{nqr.r})"
         )
     return DSet(seq, frozenset(members))
-
-
-def _d_set_members(nqr: NQRTriple, seq: tuple[int, ...]) -> set[int]:
-    """Vectorized exhaustive enumeration over all (j, exponent-tuple) pairs."""
-    n, q = nqr.n, nqr.q
-    powers = _r_powers(nqr)
-    k = len(seq)
-    total = sum(seq) % n
-    js = np.arange(1, n, dtype=np.int64)
-    if js.size == 0:
-        return set()
-    # twisted prefix sums for all q^k prefix exponent tuples
-    prefix_sums = np.zeros(1, dtype=np.int64)
-    for a in seq:
-        shifts = np.array([(p * a) % n for p in powers], dtype=np.int64)
-        prefix_sums = (prefix_sums[:, None] + shifts[None, :]).reshape(-1) % n
-    dependent = np.zeros(js.shape, dtype=bool)
-    for e_last, p_last in enumerate(powers):
-        rhs = (prefix_sums[:, None] + (p_last * js)[None, :]) % n
-        lhs = (total + js) % n
-        hit = rhs == lhs[None, :]
-        if e_last == 0:
-            hit[0, :] = False  # the all-zero tuple does not count
-        dependent |= hit.any(axis=0)
-    return set(js[dependent].tolist())
 
 
 def rigid_subsequence(
@@ -160,7 +260,7 @@ def rigid_subsequence(
         for idx in range(start, len(values)):
             chosen.append(values[idx])
             # dependence is inherited by supersequences: safe to prune here
-            if not is_r_dependent(nqr, chosen).dependent and extend(idx + 1):
+            if not _is_dependent(nqr, chosen) and extend(idx + 1):
                 return True
             chosen.pop()
         return False
@@ -212,7 +312,7 @@ def selective_check(A: Algebra, G: Grading, c: int, nqr: NQRTriple) -> Selective
     violations = []
     for tup in iproduct(degrees, repeat=c + 1):
         checked += 1
-        if is_r_dependent(nqr, tup).dependent:
+        if _is_dependent(nqr, tup):
             continue
         independent += 1
         acc = comps[tup[0]]

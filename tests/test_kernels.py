@@ -321,10 +321,7 @@ def test_automorphism_matches_pair_loop(p):
     assert check_automorphism(A, phi).ok
 
 
-# p = BIG_P is left out here: eigen_grading's search for a root of unity
-# (element_of_order) scans residues one by one and does not finish there.
-# The rebase is _products and linalg.matmul, whose exact path the tests above cover.
-@pytest.mark.parametrize("p, n", [(3, 2), (5, 4), (7, 3), (7, 6)])
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 4), (7, 3), (7, 6), (BIG_P, 2)])
 def test_eigen_rebase_matches_pair_loop(p, n):
     rng = random.Random(n)
     for d in (1, 2, 3, 4):

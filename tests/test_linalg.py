@@ -57,6 +57,30 @@ def test_span_rejects_mixed_lengths_and_nonprime():
         span([(1, 0)], p=6)
 
 
+def span_outcome(vectors, p, ambient=None):
+    try:
+        S = span(vectors, p, ambient)
+        return S, S.basis.dtype, S.basis.tolist()
+    except InputError as exc:
+        return str(exc)
+
+
+def test_span_of_a_matrix_matches_span_of_its_rows():
+    rng = random.Random(0x5BA)
+    cases = [(np.zeros((0, 3), dtype=np.int64), None), (np.zeros((0, 3), dtype=np.int64), 3),
+             (np.zeros((0, 3), dtype=np.int64), 5), (np.array([[1, 2]]), 3),
+             (np.array([[-1, 7, 12]]), None), (np.array([[1.0, 2.0]]), 2)]
+    for _ in range(20):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        M = np.array([[rng.randrange(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        cases.append((M, rng.choice([None, cols])))
+    for M, ambient in cases:
+        for p in (2, 5, 7):
+            assert span_outcome(M, p, ambient) == span_outcome(list(M), p, ambient)
+    assert span_outcome(np.array([[1, 2]]), 5, 3) == "vectors have length 2, expected ambient 3"
+    assert span_outcome(np.zeros((0, 3)), 5) == "empty span needs an explicit ambient dimension"
+
+
 def test_member_scaled_vector():
     S = span([(1, 2)], p=5)
     assert member(S, (3, 6))      # reduces to (3, 1) = 3 * (1, 2)

@@ -1,0 +1,259 @@
+"""Differential tests: the reachable-set r-dependence routine against the
+exhaustive scans it replaced, and the root-of-unity search against its scan.
+
+The oracles below are the library's earlier implementations: `is_r_dependent`
+walked all q^k exponent tuples in lexicographic order, and `d_set` built the
+twisted prefix sums of every exponent tuple as numpy arrays and tested every j
+against them.  They share no code with the reachable sets, so they check the
+predicate, the witness (the first tuple in lexicographic order), the D-sets
+and the errors raised, on valid and invalid (n, q, r) alike.
+"""
+
+import itertools
+import random
+from itertools import product as iproduct
+
+import numpy as np
+import pytest
+
+from alglab import (
+    DependenceResult,
+    DSet,
+    InputError,
+    InternalInvariantError,
+    NQRTriple,
+    d_set,
+    is_r_dependent,
+    is_r_independent,
+    rigid_subsequence,
+)
+from alglab import rdep
+from alglab.modular import element_of_order, is_prime, multiplicative_order
+
+
+# -- oracles -----------------------------------------------------------------
+
+def oracle_canonical(nqr, entries):
+    out = []
+    for a in entries:
+        a %= nqr.n
+        if a == 0:
+            raise InputError("index sequences consist of nonzero residues mod n")
+        out.append(a)
+    if not out:
+        raise InputError("index sequence must be nonempty")
+    return tuple(out)
+
+
+def oracle_is_r_dependent(nqr, entries):
+    """Exhaustive scan over the q^k - 1 nonzero exponent tuples, in
+    lexicographic order; returns the first witness found."""
+    seq = oracle_canonical(nqr, entries)
+    n, q = nqr.n, nqr.q
+    powers = [pow(nqr.r, e, n) for e in range(q)]
+    total = sum(seq) % n
+    for exps in iproduct(range(q), repeat=len(seq)):
+        if not any(exps):
+            continue
+        if sum(powers[e] * a for e, a in zip(exps, seq)) % n == total:
+            return DependenceResult(True, exps)
+    return DependenceResult(False, None)
+
+
+def oracle_d_set_members(nqr, seq):
+    """Vectorized exhaustive enumeration over all (j, exponent-tuple) pairs."""
+    n, q = nqr.n, nqr.q
+    powers = [pow(nqr.r, e, n) for e in range(q)]
+    total = sum(seq) % n
+    js = np.arange(1, n, dtype=np.int64)
+    # twisted prefix sums for all q^k prefix exponent tuples
+    prefix_sums = np.zeros(1, dtype=np.int64)
+    for a in seq:
+        shifts = np.array([(p * a) % n for p in powers], dtype=np.int64)
+        prefix_sums = (prefix_sums[:, None] + shifts[None, :]).reshape(-1) % n
+    dependent = np.zeros(js.shape, dtype=bool)
+    for e_last, p_last in enumerate(powers):
+        rhs = (prefix_sums[:, None] + (p_last * js)[None, :]) % n
+        lhs = (total + js) % n
+        hit = rhs == lhs[None, :]
+        if e_last == 0:
+            hit[0, :] = False  # the all-zero tuple does not count
+        dependent |= hit.any(axis=0)
+    return set(js[dependent].tolist())
+
+
+def oracle_d_set(nqr, prefix):
+    seq = oracle_canonical(nqr, prefix)
+    if oracle_is_r_dependent(nqr, seq).dependent:
+        raise InputError("d_set needs an r-independent prefix")
+    n, q, k = nqr.n, nqr.q, len(seq)
+    members = oracle_d_set_members(nqr, seq)
+    if len(members) > q ** (k + 1):
+        raise InternalInvariantError(
+            f"|D{seq}| = {len(members)} exceeds q^(k+1) = {q ** (k + 1)} "
+            f"for (n,q,r)=({n},{q},{nqr.r})"
+        )
+    return DSet(seq, frozenset(members))
+
+
+def oracle_rigid_subsequence(nqr, entries, m):
+    seq = oracle_canonical(nqr, entries)
+    values = list(dict.fromkeys(seq))
+    chosen = [seq[0]]
+
+    def extend(start):
+        if len(chosen) == m:
+            return True
+        for idx in range(start, len(values)):
+            chosen.append(values[idx])
+            if not oracle_is_r_dependent(nqr, chosen).dependent and extend(idx + 1):
+                return True
+            chosen.pop()
+        return False
+
+    return tuple(chosen) if extend(1) else None
+
+
+def oracle_element_of_order(p, n):
+    """Upward scan, each order by repeated multiplication."""
+    if (p - 1) % n != 0:
+        return None
+    if n == 1:
+        return 1
+    for w in range(2, p):
+        if multiplicative_order(w, p) == n:
+            return w
+    return None
+
+
+# -- helpers -----------------------------------------------------------------
+
+def outcome(f, *args):
+    """The result of f, or the type and message of the library error it raised."""
+    try:
+        return f(*args)
+    except (InputError, InternalInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_agree(nqr, seq):
+    got = outcome(is_r_dependent, nqr, seq)
+    want = outcome(oracle_is_r_dependent, nqr, seq)
+    assert got == want and repr(got) == repr(want), (nqr, seq)
+    if isinstance(want, DependenceResult):
+        assert is_r_independent(nqr, seq) == (not want.dependent)
+    got = outcome(d_set, nqr, seq)
+    want = outcome(oracle_d_set, nqr, seq)
+    assert got == want, (nqr, seq)
+
+
+def sequences(n, rng, full_below=8, per_length=6):
+    """Every sequence of length <= 3 for n < full_below, else every length-1
+    sequence and a seeded sample of lengths 2 and 3."""
+    out = [(a,) for a in range(1, n)]
+    for k in (2, 3):
+        every = list(itertools.product(range(1, n), repeat=k))
+        out += every if n < full_below else rng.sample(every, per_length)
+    return out
+
+
+def all_triples(n, qs=range(1, 6)):
+    """Every (n, q, r) the NQRTriple range check accepts, valid or not."""
+    for q in qs:
+        for r in range(1, n):
+            yield NQRTriple(n, q, r)
+
+
+@pytest.fixture
+def sparse_sets(monkeypatch):
+    """Run the routine on Python sets instead of n-bit masks."""
+    monkeypatch.setattr(rdep, "_DENSE_N_CAP", 0)
+    rdep._constants.cache_clear()
+    yield
+    rdep._constants.cache_clear()
+
+
+# -- r-dependence and D-sets ------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_dependence_and_d_sets_match_the_scans(n):
+    rng = random.Random(n)
+    for nqr in all_triples(n):
+        for seq in sequences(n, rng):
+            assert_agree(nqr, seq)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9, 12])
+def test_set_representation_matches_the_scans(sparse_sets, n):
+    assert isinstance(rdep._constants(n, 1, 1), rdep._SparseTriple)
+    rng = random.Random(-n)
+    for nqr in all_triples(n):
+        for seq in sequences(n, rng, full_below=7, per_length=4):
+            assert_agree(nqr, seq)
+
+
+def test_large_modulus_uses_sets_and_matches_the_scans():
+    n = 1048583  # prime above the bit-mask cap
+    assert n > rdep._DENSE_N_CAP and is_prime(n)
+    nqr = NQRTriple(n, 2, n - 1)
+    assert isinstance(rdep._constants(n, 2, n - 1), rdep._SparseTriple)
+    for seq in [(1,), (5, n - 5), (1, 2, 3), (1, 2, n - 3), (7, 7, 7)]:
+        assert is_r_dependent(nqr, seq) == oracle_is_r_dependent(nqr, seq)
+    # 3 + j = -3 - j and 7 + j = s - j for s in {7, 1, -1, -7}, worked by hand
+    assert d_set(nqr, [3]).members == {n - 3}
+    assert d_set(nqr, [3, 4]).members == {n - 7, n - 4, n - 3}
+
+
+def test_numpy_entries_match_the_scans():
+    rng = random.Random(0xA77)
+    for n, q, r in [(199, 2, 198), (127, 7, 2), (91, 3, 9), (12, 2, 5)]:
+        nqr = NQRTriple(n, q, r)
+        for _ in range(40):
+            seq = np.array([rng.randrange(1, n) for _ in range(rng.randrange(1, 4))])
+            assert_agree(nqr, seq)
+
+
+def test_errors_match_the_scans():
+    nqr = NQRTriple(7, 3, 2)
+    for seq in ([], [0], [1, 7], [3, 14, 2]):
+        for f, oracle in ((is_r_dependent, oracle_is_r_dependent), (d_set, oracle_d_set)):
+            got, want = outcome(f, nqr, seq), outcome(oracle, nqr, seq)
+            assert got == want and got[0] is InputError
+    assert outcome(d_set, nqr, [1, 2]) == (InputError, "d_set needs an r-independent prefix")
+
+
+def test_d_set_bound_violation_on_an_invalid_triple():
+    # r = 5 has order 2 mod 12 but not mod 2 or 4, so the bound does not apply
+    nqr = NQRTriple(12, 2, 5)
+    got, want = outcome(d_set, nqr, [1]), outcome(oracle_d_set, nqr, [1])
+    assert got == want and got[0] is InternalInvariantError
+
+
+def test_rigid_subsequences_match_the_scan():
+    rng = random.Random(0x51D)
+    for n, q, r in [(7, 3, 2), (13, 3, 3), (31, 5, 2), (11, 5, 3), (12, 2, 5)]:
+        nqr = NQRTriple(n, q, r)
+        for _ in range(12):
+            seq = [rng.randrange(1, n) for _ in range(rng.randrange(1, 12))]
+            for m in (1, 2, 3):
+                assert rigid_subsequence(nqr, seq, m) == oracle_rigid_subsequence(nqr, seq, m)
+
+
+# -- roots of unity ------------------------------------------------------------
+
+def test_element_of_order_matches_the_scan():
+    for p in range(2, 200):
+        if is_prime(p):
+            for n in range(1, p + 2):
+                assert element_of_order(p, n) == oracle_element_of_order(p, n), (p, n)
+
+
+def test_element_of_order_near_two_to_the_31():
+    p = 2147483647
+    assert element_of_order(p, 2) == p - 1
+    assert element_of_order(p, p - 1) == 7  # the smallest primitive root
+    assert element_of_order(p, 4) is None
+    for n in (3, 6, 7, 151, 2 * 3 * 7 * 11):
+        w = element_of_order(p, n)
+        assert pow(w, n, p) == 1
+        assert all(pow(w, n // ell, p) != 1 for ell in (2, 3, 7, 11, 151) if n % ell == 0)
