@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import click
@@ -18,7 +19,7 @@ import click
 from . import formats, rewrite, search as search_mod, verify as verify_mod
 from .errors import AlgLabError, InputError
 from .frobenius import NQRTriple, validate_nqr
-from .grading import nontrivial_components
+from .grading import check_grading, nontrivial_components
 from .rdep import d_set, is_r_dependent, rigid_subsequence
 from .series import derived_series, lower_central_series
 
@@ -70,9 +71,7 @@ def main():
 def check(file: str, as_json: bool):
     """Validate FILE and certify its product identity (and grading if present)."""
     loaded = _load(file)
-    report = verify_mod.verify(loaded, "all")
-    wanted = {"identity", "grading"}
-    results = [r for r in report.results if r.check in wanted]
+    results = [verify_mod.verify(loaded, name).results[0] for name in ("identity", "grading")]
     code = 1 if any(r.status == verify_mod.Status.VIOLATION for r in results) else 0
     if as_json:
         click.echo(json.dumps([_result_doc(r) for r in results], indent=2))
@@ -122,8 +121,6 @@ def grade(file: str, as_json: bool):
     if loaded.grading is None:
         _fail(2, "file has no grading block")
     A, G = loaded.algebra, loaded.grading
-    from .grading import check_grading
-
     rep = check_grading(A, G)
     nontrivial = sorted(nontrivial_components(A, G))
     if as_json:
@@ -344,8 +341,6 @@ def search_cmd(spec_path: str, seed: Optional[int], as_json: bool):
     try:
         spec = search_mod.load_spec(spec_path)
         if seed is not None:
-            from dataclasses import replace
-
             spec = search_mod.validate_spec(replace(spec, seed=seed))
         result = search_mod.search(spec)
     except FileNotFoundError:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import InputError
@@ -9,6 +10,7 @@ from .errors import InputError
 MAX_PRIME = 2**31  # desk-scale moduli only; trial division stays fast below this
 
 
+@lru_cache(maxsize=64)  # span/solve validate p on every call; trial division is O(sqrt p)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

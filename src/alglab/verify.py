@@ -5,20 +5,22 @@ counterexample to a statement the toolkit certifies; never expected on
 sound inputs), 2 = input or hypothesis error (missing blocks, falsified
 hypotheses).  Under "all", checks whose blocks are absent or whose
 hypotheses fail are reported as skipped and do not affect the exit code;
-requesting such a check explicitly yields exit 2.
+requesting such a check explicitly yields exit 2.  The checks of one call
+share one computation of each report (identity, grading, both series).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from itertools import combinations_with_replacement
+from typing import Optional
 
 from . import rdep
 from .algebra import check_identity_uniform
 from .errors import AlgLabError, HypothesisError, InputError
 from .formats import LoadedAlgebra
-from .frobenius import NQRTriple, _untwisted_components, eigen_grading
+from .frobenius import _untwisted_components, eigen_grading
 from .grading import check_grading, component_count, nontrivial_components
 from .rdep import d_set, index_split_check, is_r_independent
 from .series import derived_length, kreknin_shalev_bound, nilpotency_class
@@ -58,10 +60,24 @@ class VerifyReport:
         return 0
 
 
-def _check_identity(loaded: LoadedAlgebra) -> CheckResult:
-    rep = check_identity_uniform(loaded.algebra)
+@dataclass
+class _Facts:
+    """A loaded file and the reports its checks share, keyed by the function
+    that computes each: facts(fn, *args) runs fn(algebra, *args) once."""
+
+    loaded: LoadedAlgebra
+    reports: dict = field(default_factory=dict)
+
+    def __call__(self, fn, *args):
+        if fn not in self.reports:
+            self.reports[fn] = fn(self.loaded.algebra, *args)
+        return self.reports[fn]
+
+
+def _check_identity(facts: _Facts, c: Optional[int]) -> CheckResult:
+    rep = facts(check_identity_uniform)
     if rep.ok:
-        A = loaded.algebra
+        A = facts.loaded.algebra
         return CheckResult(
             "identity", Status.PASS,
             f"product identity holds with (alpha, beta) = ({A.alpha}, {A.beta}) "
@@ -75,10 +91,10 @@ def _check_identity(loaded: LoadedAlgebra) -> CheckResult:
     )
 
 
-def _check_grading(loaded: LoadedAlgebra) -> CheckResult:
-    if loaded.grading is None:
+def _check_grading(facts: _Facts, c: Optional[int]) -> CheckResult:
+    if facts.loaded.grading is None:
         return CheckResult("grading", Status.SKIPPED, "no grading block")
-    rep = check_grading(loaded.algebra, loaded.grading)
+    rep = facts(check_grading, facts.loaded.grading)
     if rep.ok:
         return CheckResult(
             "grading", Status.PASS,
@@ -92,20 +108,20 @@ def _check_grading(loaded: LoadedAlgebra) -> CheckResult:
     )
 
 
-def _check_kreknin(loaded: LoadedAlgebra) -> CheckResult:
+def _check_kreknin(facts: _Facts, c: Optional[int]) -> CheckResult:
     name = "kreknin"
-    if loaded.grading is None:
+    A, G = facts.loaded.algebra, facts.loaded.grading
+    if G is None:
         return CheckResult(name, Status.SKIPPED, "no grading block")
-    A, G = loaded.algebra, loaded.grading
-    if not check_identity_uniform(A).ok:
+    if not facts(check_identity_uniform).ok:
         return CheckResult(name, Status.HYPOTHESIS, "product identity fails")
-    if not check_grading(A, G).ok:
+    if not facts(check_grading, G).ok:
         return CheckResult(name, Status.HYPOTHESIS, "grading law fails")
     if 0 in nontrivial_components(A, G):
         return CheckResult(name, Status.HYPOTHESIS, "L_0 must be zero")
     d = component_count(A, G)
     bound = kreknin_shalev_bound(d)
-    dl = derived_length(A)
+    dl = facts(derived_length)
     if dl is not None and dl <= bound:
         return CheckResult(
             name, Status.PASS,
@@ -119,22 +135,19 @@ def _check_kreknin(loaded: LoadedAlgebra) -> CheckResult:
     )
 
 
-def _action_triple(loaded: LoadedAlgebra) -> Optional[NQRTriple]:
-    return loaded.action.triple if loaded.action is not None else None
-
-
-def _check_dset_bound(loaded: LoadedAlgebra) -> CheckResult:
+def _check_dset_bound(facts: _Facts, c: Optional[int]) -> CheckResult:
     name = "dset-bound"
-    nqr = _action_triple(loaded)
-    if nqr is None:
+    if facts.loaded.action is None:
         return CheckResult(name, Status.SKIPPED, "no action block")
+    nqr = facts.loaded.action.triple
     if nqr.n > DSET_N_CAP:
         return CheckResult(name, Status.SKIPPED, f"n = {nqr.n} beyond the sweep cap")
     checked = 0
     for k in range(1, DSET_PREFIX_CAP + 1):
         if nqr.q ** (k + 1) >= nqr.n - 1:
             continue  # bound is vacuous: |D| <= n-1 <= q^(k+1)
-        for prefix in _sorted_prefixes(nqr.n, k):
+        # nondecreasing prefixes suffice: dependence is permutation-invariant
+        for prefix in combinations_with_replacement(range(1, nqr.n), k):
             if not is_r_independent(nqr, prefix):
                 continue
             d_set(nqr, prefix)  # raises InternalInvariantError on violation
@@ -147,20 +160,13 @@ def _check_dset_bound(loaded: LoadedAlgebra) -> CheckResult:
     )
 
 
-def _sorted_prefixes(n: int, k: int):
-    """Nondecreasing tuples over 1..n-1; dependence is permutation-invariant."""
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(range(1, n), k)
-
-
-def _check_index_split(loaded: LoadedAlgebra) -> CheckResult:
+def _check_index_split(facts: _Facts, c: Optional[int]) -> CheckResult:
     name = "index-split"
     n = None
-    if loaded.grading is not None:
-        n = loaded.grading.n
-    elif loaded.action is not None:
-        n = loaded.action.triple.n
+    if facts.loaded.grading is not None:
+        n = facts.loaded.grading.n
+    elif facts.loaded.action is not None:
+        n = facts.loaded.action.triple.n
     if n is None or n < 2:
         return CheckResult(name, Status.SKIPPED, "no modulus n >= 2 available")
     rep = index_split_check(n)
@@ -174,11 +180,11 @@ def _check_index_split(loaded: LoadedAlgebra) -> CheckResult:
     )
 
 
-def _check_frobenius(loaded: LoadedAlgebra) -> CheckResult:
+def _check_frobenius(facts: _Facts, c: Optional[int]) -> CheckResult:
     name = "frobenius"
-    if loaded.action is None:
+    A, fd = facts.loaded.algebra, facts.loaded.action
+    if fd is None:
         return CheckResult(name, Status.SKIPPED, "no action block")
-    A, fd = loaded.algebra, loaded.action
     try:
         egr = eigen_grading(A, fd.phi, fd.triple.n)
     except AlgLabError as exc:
@@ -199,17 +205,17 @@ def _check_frobenius(loaded: LoadedAlgebra) -> CheckResult:
     )
 
 
-def _check_selective_nilpotency(loaded: LoadedAlgebra, c: Optional[int]) -> CheckResult:
+def _check_selective_nilpotency(facts: _Facts, c: Optional[int]) -> CheckResult:
     name = "selective-nilpotency"
-    if loaded.grading is None or loaded.action is None:
+    A, G, fd = facts.loaded.algebra, facts.loaded.grading, facts.loaded.action
+    if G is None or fd is None:
         return CheckResult(name, Status.SKIPPED, "needs grading and action blocks")
     if c is None:
         return CheckResult(name, Status.SKIPPED, "needs an explicit c (--c)")
-    A, G, nqr = loaded.algebra, loaded.grading, loaded.action.triple
-    if not check_identity_uniform(A).ok:
+    if not facts(check_identity_uniform).ok:
         return CheckResult(name, Status.HYPOTHESIS, "product identity fails")
     try:
-        rep = rdep.selective_check(A, G, c, nqr)
+        rep = rdep.selective_check(A, G, c, fd.triple)
     except (HypothesisError, InputError) as exc:
         return CheckResult(name, Status.HYPOTHESIS, str(exc))
     if not rep.ok:
@@ -219,7 +225,7 @@ def _check_selective_nilpotency(loaded: LoadedAlgebra, c: Optional[int]) -> Chec
             f"selective {c}-nilpotency fails at degree tuple {v.degrees}; "
             "the conclusion is not claimed for this algebra",
         )
-    nc = nilpotency_class(A)
+    nc = facts(nilpotency_class)
     if nc is None:
         return CheckResult(
             name, Status.VIOLATION,
@@ -233,14 +239,14 @@ def _check_selective_nilpotency(loaded: LoadedAlgebra, c: Optional[int]) -> Chec
     )
 
 
-def _check_expected(loaded: LoadedAlgebra) -> CheckResult:
+def _check_expected(facts: _Facts, c: Optional[int]) -> CheckResult:
     name = "expected"
-    if loaded.meta is None or loaded.meta.expected is None:
+    meta = facts.loaded.meta
+    if meta is None or meta.expected is None:
         return CheckResult(name, Status.SKIPPED, "no expected stats in meta")
-    exp = loaded.meta.expected
-    A = loaded.algebra
-    got_dl = derived_length(A)
-    got_nc = nilpotency_class(A)
+    exp = meta.expected
+    got_dl = facts(derived_length)
+    got_nc = facts(nilpotency_class)
     mismatches = []
     if got_dl != exp.derived_length:
         mismatches.append(f"derived_length {got_dl} != expected {exp.derived_length}")
@@ -254,27 +260,26 @@ def _check_expected(loaded: LoadedAlgebra) -> CheckResult:
     )
 
 
-_CHECKS: dict[str, Callable[[LoadedAlgebra, Optional[int]], CheckResult]] = {
-    "identity": lambda l, c: _check_identity(l),
-    "grading": lambda l, c: _check_grading(l),
-    "kreknin": lambda l, c: _check_kreknin(l),
-    "dset-bound": lambda l, c: _check_dset_bound(l),
-    "index-split": lambda l, c: _check_index_split(l),
-    "frobenius": lambda l, c: _check_frobenius(l),
-    "selective-nilpotency": lambda l, c: _check_selective_nilpotency(l, c),
-    "expected": lambda l, c: _check_expected(l),
+_CHECKS = {
+    "identity": _check_identity,
+    "grading": _check_grading,
+    "kreknin": _check_kreknin,
+    "dset-bound": _check_dset_bound,
+    "index-split": _check_index_split,
+    "frobenius": _check_frobenius,
+    "selective-nilpotency": _check_selective_nilpotency,
+    "expected": _check_expected,
 }
 
 ALL_CHECKS = tuple(_CHECKS)
 
 
 def verify(loaded: LoadedAlgebra, lemma_id: str, c: Optional[int] = None) -> VerifyReport:
-    if lemma_id == "all":
-        results = tuple(_CHECKS[name](loaded, c) for name in ALL_CHECKS)
-        return VerifyReport(results, "all")
-    if lemma_id not in _CHECKS:
+    if lemma_id != "all" and lemma_id not in _CHECKS:
         raise AlgLabError(
             f"unknown verification {lemma_id!r}; expected one of "
             f"{', '.join(ALL_CHECKS)} or 'all'"
         )
-    return VerifyReport((_CHECKS[lemma_id](loaded, c),), lemma_id)
+    facts = _Facts(loaded)
+    names = ALL_CHECKS if lemma_id == "all" else (lemma_id,)
+    return VerifyReport(tuple(_CHECKS[name](facts, c) for name in names), lemma_id)

@@ -48,6 +48,32 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(bad)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("name, triples, pairs", [
+        ("heisenberg_f5.json", 27, 9), ("abelian2_f7_action.json", 8, 4),
+    ])
+    def test_runs_only_the_identity_and_grading_checks(self, runner, monkeypatch,
+                                                       name, triples, pairs):
+        import alglab.verify
+
+        def refuse(*args):
+            raise AssertionError("check must not run this")
+
+        for fn in ("derived_length", "nilpotency_class", "d_set", "eigen_grading",
+                   "index_split_check"):
+            monkeypatch.setattr(alglab.verify, fn, refuse)
+        identity = ("product identity holds with (alpha, beta) = (1, 1) "
+                    f"on all {triples} basis triples")
+        grading = f"multiplication respects the grading on all {pairs} basis pairs"
+        result = runner.invoke(main, ["check", fixture(name)])
+        assert result.exit_code == 0
+        assert result.output == f"identity: pass - {identity}\ngrading: pass - {grading}\n"
+        result = runner.invoke(main, ["check", "--json", fixture(name)])
+        assert result.exit_code == 0
+        assert result.output == json.dumps([
+            {"check": "identity", "status": "pass", "message": identity, "details": {}},
+            {"check": "grading", "status": "pass", "message": grading, "details": {}},
+        ], indent=2) + "\n"
+
 
 class TestSeries:
     def test_derived(self, runner):

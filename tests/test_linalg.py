@@ -19,6 +19,7 @@ from alglab import (
     zero_subspace,
 )
 from alglab.linalg import mat_inv, mat_pow, matmul, rref
+from alglab.modular import is_prime
 
 
 def brute_force_member(S, v):
@@ -55,6 +56,19 @@ def test_span_rejects_mixed_lengths_and_nonprime():
         span([(1, 0), (1, 0, 0)], p=3)
     with pytest.raises(InputError):
         span([(1, 0)], p=6)
+    with pytest.raises(InputError):
+        span([(1, 0)], p=2**31)
+    with pytest.raises(InputError):
+        span([(1, 0)], p=True)
+
+
+def test_span_trial_divides_p_once():
+    p = 2147483647  # the largest accepted prime: trial division up to sqrt(p)
+    is_prime.cache_clear()
+    for _ in range(2):
+        span([(1, 2, 3), (4, 5, 6), (7, 8, 10)], p)
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def span_outcome(vectors, p, ambient=None):

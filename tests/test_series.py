@@ -19,6 +19,7 @@ from alglab import (
     span,
     subspace_product,
 )
+from alglab.search import CorpusSpec, search
 from alglab.series import lower_central_series_two_sided, series_of_subalgebra
 from conftest import abelian, heisenberg, zero_algebra
 
@@ -59,8 +60,27 @@ def test_lower_central_series_leibniz(lez3):
     assert res.terms[1] == span([(0, 1)], 3)
 
 
+# (p, alpha, beta, component dims) of seeded random-mode searches whose
+# survivors satisfy the identity with general (alpha, beta)
+LCS_SEARCHES = [
+    (2, 1, 0, (1, 1, 1)), (2, 1, 1, (1, 1, 1)), (2, 1, 1, (0, 1, 2, 1)),
+    (3, 1, 2, (1, 1)), (3, 2, 1, (1, 1)), (3, 2, 2, (0, 1, 1, 1)),
+    (5, 1, 3, (1, 1)), (5, 2, 4, (1, 1)), (5, 3, 0, (0, 1, 1, 1)),
+]
+
+
+def _search_survivors():
+    for p, alpha, beta, dims in LCS_SEARCHES:
+        spec = CorpusSpec(p=p, n=len(dims), component_dims=dims, alpha=alpha, beta=beta,
+                          mode="random", seed=11, samples=4000)
+        yield from (s.algebra for s in search(spec).survivors)
+
+
 def test_one_sided_equals_two_sided_lcs(heis5, lez3, mat2):
-    for A in (heis5, lez3, mat2, abelian(3, 3)):
+    survivors = list(_search_survivors())
+    assert len(survivors) > 1000
+    assert any(A.beta not in (0, 1) and nilpotency_class(A) is None for A in survivors)
+    for A in (heis5, lez3, mat2, abelian(3, 3), *survivors):
         one = lower_central_series(A)
         two = lower_central_series_two_sided(A)
         assert [t.basis.tolist() for t in one.terms] == [

@@ -155,3 +155,47 @@ def test_index_split_runs_with_grading_modulus():
 def test_unknown_lemma_id():
     with pytest.raises(AlgLabError):
         verify(load(FIXTURES / "leibniz2_f3.json"), "does-not-exist")
+
+
+def _twisted_heisenberg():
+    """Two copies of the Heisenberg algebra over F_7, copy s graded by
+    2^s * (1, 1, 2) mod 3; phi acts by 2^degree and h swaps the copies, so
+    h^-1 phi h = phi^2."""
+    degrees = [1, 1, 2, 2, 2, 1]
+    doc = {
+        "p": 7, "dim": 6, "alpha": 1, "beta": 1,
+        "table": [[1, 2, 3, 1], [2, 1, 3, 6], [4, 5, 6, 1], [5, 4, 6, 6]],
+        "grading": {"n": 3, "degrees": degrees},
+        "action": {"n": 3, "q": 2, "r": 2,
+                   "phi": np.diag([pow(2, d, 7) for d in degrees]).tolist(),
+                   "h": np.roll(np.eye(6, dtype=int), 3, axis=0).tolist()},
+        "meta": {"expected": {"derived_length": 2, "nilpotency_class": 2}},
+    }
+    return loads(json.dumps(doc))
+
+
+SHARED_FACTS = ("check_identity_uniform", "check_grading", "derived_length", "nilpotency_class")
+
+
+@pytest.mark.parametrize("source", FIXTURE_FILES + ["twisted-heisenberg"])
+def test_each_fact_is_computed_at_most_once_per_call(monkeypatch, source):
+    import alglab.verify
+
+    loaded = _twisted_heisenberg() if source == "twisted-heisenberg" else load(FIXTURES / source)
+    calls = dict.fromkeys(SHARED_FACTS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in SHARED_FACTS:
+        monkeypatch.setattr(alglab.verify, name, counting(name, getattr(alglab.verify, name)))
+    for lemma_id, c in (("all", None), ("all", 2), ("selective-nilpotency", 1),
+                        ("selective-nilpotency", 2)):
+        calls.update(dict.fromkeys(SHARED_FACTS, 0))
+        verify(loaded, lemma_id, c)
+        assert max(calls.values()) <= 1, (lemma_id, c, calls)
+        if lemma_id == "all":
+            assert calls == dict.fromkeys(SHARED_FACTS, 1), calls
