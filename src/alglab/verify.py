@@ -62,16 +62,16 @@ class VerifyReport:
 
 @dataclass
 class _Facts:
-    """A loaded file and the reports its checks share, keyed by the function
-    that computes each: facts(fn, *args) runs fn(algebra, *args) once."""
+    """A loaded file and the reports its checks share, keyed by (fn, *args):
+    facts(fn, *args) runs fn(algebra, *args) once per distinct key."""
 
     loaded: LoadedAlgebra
     reports: dict = field(default_factory=dict)
 
     def __call__(self, fn, *args):
-        if fn not in self.reports:
-            self.reports[fn] = fn(self.loaded.algebra, *args)
-        return self.reports[fn]
+        if (fn, *args) not in self.reports:
+            self.reports[(fn, *args)] = fn(self.loaded.algebra, *args)
+        return self.reports[(fn, *args)]
 
 
 def _check_identity(facts: _Facts, c: Optional[int]) -> CheckResult:

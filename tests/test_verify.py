@@ -199,3 +199,17 @@ def test_each_fact_is_computed_at_most_once_per_call(monkeypatch, source):
         assert max(calls.values()) <= 1, (lemma_id, c, calls)
         if lemma_id == "all":
             assert calls == dict.fromkeys(SHARED_FACTS, 1), calls
+
+
+def test_facts_keeps_one_report_per_argument_tuple():
+    from alglab.grading import Grading, check_grading
+    from alglab.verify import _Facts
+
+    loaded = load(FIXTURES / "heisenberg_f5.json")
+    G = loaded.grading
+    flat = Grading(G.n, (1,) * G.dim)
+    facts = _Facts(loaded)
+    assert facts(check_grading, G).ok
+    assert facts(check_grading, flat) == check_grading(loaded.algebra, flat)
+    assert not facts(check_grading, flat).ok
+    assert facts(check_grading, G).ok
