@@ -98,6 +98,24 @@ def _products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray
     return linalg.matmul(Y, Z, p)
 
 
+_ROW_BLOCK = 1 << 16  # entries of the (rows, d, d) intermediate held at once
+
+
+def _rowwise_products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """out[w, :] = [X[w], Y[w]] for two (W, d) stacks reduced mod p, exact as
+    in _products but pairing rows instead of taking all pairs.  Rows go in
+    blocks, so the (rows, d, d) intermediate stays within _ROW_BLOCK entries."""
+    d = T.shape[0]
+    flat = T.reshape(d, d * d)
+    step = max(1, _ROW_BLOCK // max(1, d * d))
+    out = []
+    for i in range(0, len(X), step):
+        Xb, Yb = X[i : i + step], Y[i : i + step]
+        Z = linalg.matmul(Xb, flat, p).reshape(len(Xb), d, d)
+        out.append(linalg.matmul(Yb[:, None, :], Z, p)[:, 0])
+    return np.concatenate(out)
+
+
 def product(A: Algebra, x, y) -> np.ndarray:
     """Bilinear product of two coordinate vectors."""
     xv = linalg.as_vec(x, A.p, A.dim)

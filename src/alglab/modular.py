@@ -55,7 +55,9 @@ def divisors(n: int) -> list[int]:
 def multiplicative_order(a: int, m: int) -> int | None:
     """Order of a in (Z/mZ)^*, or None if gcd(a, m) != 1.
 
-    m = 1 is the trivial group: every a has order 1.
+    m = 1 is the trivial group: every a has order 1.  Otherwise the order
+    divides phi(m): start from phi(m) and divide out each prime factor while
+    a to the quotient is still 1, one pow per test.
     """
     if m < 1:
         raise InputError(f"modulus must be positive, got {m}")
@@ -64,11 +66,13 @@ def multiplicative_order(a: int, m: int) -> int | None:
     a %= m
     if gcd(a, m) != 1:
         return None
-    k, x = 1, a
-    while x != 1:
-        x = (x * a) % m
-        k += 1
-    return k
+    order = m
+    for ell in _prime_factors(m):
+        order = order // ell * (ell - 1)
+    for ell in _prime_factors(order):
+        while order % ell == 0 and pow(a, order // ell, m) == 1:
+            order //= ell
+    return order
 
 
 def _prime_factors(m: int) -> list[int]:

@@ -51,7 +51,11 @@ def _canonical_entries(nqr: NQRTriple, entries: Sequence[int]) -> tuple[int, ...
 # in it), so shifting the whole set costs two big-int shifts; above it, sets
 # are Python sets, whose size stays below q^k however large n is.
 _DENSE_N_CAP = 1 << 20
-_STEP_CACHE = 4096  # entries whose offsets each triple keeps
+_STEP_OFFSETS = 1 << 13  # offsets the cached entries of one triple hold in all
+# Every twist r^e, e < q, is listed: at q = 2^14 the constants and one
+# entry's step take 1.2 s and 3.8 MB at n near 2^20, growing linearly in q.
+Q_CAP = 1 << 14
+RIGID_BUDGET = 100_000  # twist shifts (dependence tests times q) one rigid search may make
 
 
 class _Triple(dict):
@@ -83,7 +87,7 @@ class _Triple(dict):
         offsets = tuple((w - 1) * b % n for w in self.twists)
         twisting = tuple((w - 1) * b % n for w in self.nonzero)
         step = (offsets, twisting, self.shift(self.origin, twisting))
-        if len(self) < _STEP_CACHE:
+        if (len(self) + 1) * len(self.twists) <= _STEP_OFFSETS:
             self[b] = step
         return step
 
@@ -122,6 +126,9 @@ class _SparseTriple(_Triple):
 
 @lru_cache(maxsize=64)
 def _constants(n: int, q: int, r: int) -> _Triple:
+    if q > Q_CAP:
+        raise InputError(f"q = {q} is too large: dependence tests list all q twists r^e, "
+                         f"so q is capped at {Q_CAP}")
     return (_DenseTriple if n <= _DENSE_N_CAP else _SparseTriple)(n, q, r)
 
 
@@ -240,7 +247,9 @@ def rigid_subsequence(
     in first-occurrence order, and the search backtracks over them in index
     order.  Whenever the sequence contains at least q^m + m distinct values,
     a subsequence is guaranteed to exist; below that threshold the search
-    still runs and may legitimately return None.
+    still runs and may legitimately return None.  A dependence test shifts a
+    set by the q twists of each entry, so a search whose tests times q would
+    pass RIGID_BUDGET is refused with InputError.
     """
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
@@ -253,12 +262,20 @@ def rigid_subsequence(
             values.append(a)
     first = seq[0]
     chosen = [first]
+    tests = 0
 
     def extend(start: int) -> bool:
+        nonlocal tests
         if len(chosen) == m:
             return True
         for idx in range(start, len(values)):
             chosen.append(values[idx])
+            tests += 1
+            if tests * nqr.q > RIGID_BUDGET:
+                raise InputError(
+                    f"rigid search over {len(values)} distinct values for m = {m} at q = "
+                    f"{nqr.q} needs more than {RIGID_BUDGET // nqr.q} dependence tests; "
+                    "shorten the sequence or lower m")
             # dependence is inherited by supersequences: safe to prune here
             if not _is_dependent(nqr, chosen) and extend(idx + 1):
                 return True

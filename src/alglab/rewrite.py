@@ -11,6 +11,10 @@ same atoms.  Soundness is contractual through evaluation: evaluating a term
 and its normal form in any algebra satisfying the identity with the same
 (alpha, beta) gives the same element.
 
+Normalization runs on words of integer atom ids: [U, W] is U followed by
+permutations of W with coefficients fixed by len(W) and (alpha, beta, p), so
+each length's template is computed once.  Evaluation stacks equal-length words.
+
 Atoms are positional: every occurrence in the source text is its own
 variable, even when spelled identically.  A degree suffix ("x_3") is a label
 shared by occurrences of the same spelling; it never merges them.
@@ -18,14 +22,19 @@ shared by occurrences of the same spelling; it never merges them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, _products
+from .algebra import Algebra, _products, _rowwise_products
 from .errors import InputError, ParseError
+from .modular import check_prime
 
 
 @dataclass(frozen=True)
@@ -33,13 +42,6 @@ class Atom:
     name: str
     degree: Optional[int] = None
     uid: int = 0  # occurrence index within the parsed term
-
-    def __post_init__(self):
-        # atoms are dict keys in every rewrite step; cache the hash
-        object.__setattr__(self, "_hash", hash((self.name, self.degree, self.uid)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r}@{self.uid})"
@@ -151,22 +153,29 @@ class LinearCombo:
         return [w for w, _ in self.terms]
 
 
-def _combo(p: int, data: Mapping[Word, int]) -> LinearCombo:
-    items = [(w, c % p) for w, c in data.items() if c % p]
-    items.sort(key=lambda wc: tuple(a.sort_key() for a in wc[0]))
-    return LinearCombo(p, tuple(items))
+@lru_cache(maxsize=256)
+def _template(k: int, inv_a: int, neg_ba: int, p: int):
+    """[U, W] for len(W) = k as the sum of coeff * (U + getter(W)) over (positions,
+    getter, coeff), getter(W) = W[positions], in expansion order, zero terms dropped.
+    Peels x off W = [H, x]: [U,[H,x]] = 1/a [[U,H],x] - b/a [[U,x],H]."""
+    if k == 1:
+        return (((0,), itemgetter(slice(None)), 1),)
+    head, last = _template(k - 1, inv_a, neg_ba, p), (k - 1,)
+    out = [(s + last, inv_a * c % p) for s, _, c in head]
+    out += [(last + s, neg_ba * c % p) for s, _, c in head]
+    return tuple((s, itemgetter(*s), c) for s, c in out if c)
 
 
 def normalize(t: BracketTerm, alpha: int, beta: int, p: int) -> LinearCombo:
     """Rewrite t into a combination of left-normalized words.
 
     Works innermost-first, left branch first: both children are normalized
-    to word combinations, then each word-on-word bracket [U, W] is flattened
-    by peeling the last letter of W, which strictly shortens the right
-    factor and so terminates.  Requires alpha invertible mod p.
+    to words over integer atom ids (equal atoms share one), then each
+    bracket [U, W] is expanded by the cached template for len(W).  Words
+    sort by their atoms' sort keys, and words that tie keep the order in
+    which they first appear.  Only surviving words become Atom tuples.
+    Requires alpha invertible mod p.
     """
-    from .modular import check_prime
-
     check_prime(p)
     alpha %= p
     beta %= p
@@ -174,45 +183,37 @@ def normalize(t: BracketTerm, alpha: int, beta: int, p: int) -> LinearCombo:
         raise InputError("alpha must be nonzero mod p")
     inv_a = linalg.inv_scalar(alpha, p)
     neg_ba = (-beta * inv_a) % p
+    atoms = sorted(dict.fromkeys(atoms_of(t)), key=Atom.sort_key)
+    ids = {a: i for i, a in enumerate(atoms)}
+    keys = [a.sort_key() for a in atoms]
+    ties = len(set(keys)) < len(keys)
 
-    def norm(term: BracketTerm) -> dict[Word, int]:
+    def norm(term: BracketTerm) -> dict[tuple[int, ...], int]:
         if isinstance(term, Atom):
-            return {(term,): 1}
+            return {(ids[term],): 1}
         lhs = norm(term.left)
         rhs = norm(term.right)
-        out: dict[Word, int] = {}
+        if not lhs or not rhs:  # a factor that cancelled to 0
+            return {}
+        template = _template(len(next(iter(rhs))), inv_a, neg_ba, p)
+        out: dict[tuple[int, ...], int] = defaultdict(int)
         for wl, cl in lhs.items():
             for wr, cr in rhs.items():
-                for word, coeff in bracket_words(wl, wr).items():
-                    out[word] = (out.get(word, 0) + cl * cr * coeff) % p
-        return out
+                c = cl * cr
+                for _, g, coeff in template:
+                    out[wl + g(wr)] += c * coeff
+        # words that cancel are dropped, except where ties need every first appearance
+        return {w: c % p for w, c in out.items() if ties or c % p}
 
-    def bracket_words(u: Word, w: Word) -> dict[Word, int]:
-        # [U, w1] for a single letter is just an append
-        if len(w) == 1:
-            return {u + w: 1}
-        head, last = w[:-1], w[-1:]
-        # [U, [H, x]] = 1/alpha [[U, H], x] - beta/alpha [[U, x], H]
-        out: dict[Word, int] = {}
-        for word, coeff in bracket_words(u, head).items():
-            out[word + last] = (out.get(word + last, 0) + inv_a * coeff) % p
-        for word, coeff in bracket_words(u + last, head).items():
-            out[word] = (out.get(word, 0) + neg_ba * coeff) % p
-        return out
-
-    return _combo(p, norm(t))
+    out = norm(t)
+    # ids follow the sort keys, so without ties the words sort as they are
+    words = sorted(out, key=(lambda w: [keys[i] for i in w]) if ties else None)
+    return LinearCombo(p, tuple(
+        (tuple(map(atoms.__getitem__, w)), out[w]) for w in words if out[w]))
 
 
 def normalize_in(A: Algebra, t: BracketTerm) -> LinearCombo:
     return normalize(t, A.alpha, A.beta, A.p)
-
-
-def _lookup(assignment: Mapping, atom: Atom):
-    if atom in assignment:
-        return assignment[atom]
-    if atom.name in assignment:
-        return assignment[atom.name]
-    raise InputError(f"no assignment for atom {atom.name!r} (occurrence {atom.uid})")
 
 
 def evaluate(
@@ -221,15 +222,30 @@ def evaluate(
     """Evaluate a term or combo under an atom assignment.
 
     Assignment keys may be Atom objects (per occurrence) or names (shared by
-    every occurrence of that spelling).
+    every occurrence of that spelling).  A combo's words of one length are
+    one stack, and its coefficients are applied by one exact linalg.matmul.
     """
     value = _assigned_vectors(assignment, A)
     if isinstance(t, LinearCombo):
         if t.p != A.p:
             raise InputError(f"combo is over F_{t.p}, algebra over F_{A.p}")
+        words = t.words()
+        # each distinct atom object in first-letter order, then every letter's row of V
+        atoms = dict(zip(map(id, chain.from_iterable(words)), chain.from_iterable(words)))
+        V = np.array([value(a) for a in atoms.values()], dtype=np.int64)
+        row = dict(zip(atoms, range(len(atoms))))
+        letters = np.fromiter(map(row.__getitem__, map(id, chain.from_iterable(words))), np.intp)
+        lengths = np.array([len(w) for w in words], dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        coeffs = np.array([c % A.p for _, c in t.terms], dtype=np.int64)
         acc = A.zero()
-        for word, coeff in t.terms:
-            acc = (acc + coeff * _eval_word(word, value, A)) % A.p
+        for k in np.unique(lengths):
+            group = lengths == k
+            first = starts[group]
+            X = V[letters[first]]
+            for j in range(1, k):
+                X = _rowwise_products(A.table, X, V[letters[first + j]], A.p)
+            acc = (acc + linalg.matmul(coeffs[group], X, A.p)) % A.p
         return acc
 
     def ev(term: BracketTerm) -> np.ndarray:
@@ -241,22 +257,18 @@ def evaluate(
 
 
 def _assigned_vectors(assignment: Mapping, A: Algebra):
-    """Atom -> its assigned vector, validated once per atom."""
+    """Atom -> its vector (keyed by the atom, else by its name), validated once."""
     cache: dict[Atom, np.ndarray] = {}
 
     def value(atom: Atom) -> np.ndarray:
         if atom not in cache:
-            cache[atom] = linalg.as_vec(_lookup(assignment, atom), A.p, A.dim)
+            key = atom if atom in assignment else atom.name
+            if key not in assignment:
+                raise InputError(f"no assignment for atom {atom.name!r} (occurrence {atom.uid})")
+            cache[atom] = linalg.as_vec(assignment[key], A.p, A.dim)
         return cache[atom]
 
     return value
-
-
-def _eval_word(word: Word, value, A: Algebra) -> np.ndarray:
-    acc = value(word[0])
-    for atom in word[1:]:
-        acc = _products(A.table, acc, value(atom), A.p)
-    return acc
 
 
 def format_combo(combo: LinearCombo) -> str:

@@ -192,6 +192,25 @@ class TestRdep:
         assert result.exit_code == 0
         assert result.output.strip() == "none"
 
+    def test_q_above_the_cap_exit_2(self, runner):
+        # (2^31 - 1, 2^31 - 2, 7) is valid, but its q twists are too many to list
+        validate = runner.invoke(main, ["frobenius", "validate", "--n", "2147483647",
+                                        "--q", "2147483646", "--r", "7"])
+        assert validate.exit_code == 0 and "is valid" in validate.output
+        for verb, flag in (("dep", "--seq"), ("dset", "--prefix"), ("rigid", "--seq")):
+            args = ["rdep", verb, "--n", "2147483647", "--q", "2147483646", "--r", "7",
+                    flag, "1,2"] + (["--m", "2"] if verb == "rigid" else [])
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert "q = 2147483646" in result.output
+
+    def test_rigid_over_budget_exit_2(self, runner):
+        seq = ",".join(str(x) for x in range(1, 211))
+        result = runner.invoke(main, ["rdep", "rigid", "--n", "211", "--q", "5",
+                                      "--r", "55", "--seq", seq, "--m", "6"])
+        assert result.exit_code == 2
+        assert "more than 20000 dependence tests" in result.output
+
 
 class TestRewrite:
     def test_normalize_text(self, runner):

@@ -11,6 +11,7 @@ and the errors raised, on valid and invalid (n, q, r) alike.
 
 import itertools
 import random
+from math import gcd
 from itertools import product as iproduct
 
 import numpy as np
@@ -28,6 +29,7 @@ from alglab import (
     rigid_subsequence,
 )
 from alglab import rdep
+from alglab.frobenius import validate_nqr
 from alglab.modular import element_of_order, is_prime, multiplicative_order
 
 
@@ -239,6 +241,24 @@ def test_rigid_subsequences_match_the_scan():
                 assert rigid_subsequence(nqr, seq, m) == oracle_rigid_subsequence(nqr, seq, m)
 
 
+def test_q_above_the_cap_is_refused():
+    n = 12289  # prime, 12289 - 1 = 3 * 2^12: a four-digit q still matches the scan
+    nqr = NQRTriple(n, 1024, element_of_order(n, 1024))
+    assert validate_nqr(nqr.n, nqr.q, nqr.r).valid
+    assert is_r_dependent(nqr, [1, 2]) == oracle_is_r_dependent(nqr, [1, 2])
+    n = 65537  # prime, 65537 - 1 = 2^16, so q = Q_CAP = 2^14 divides n - 1
+    at_cap = NQRTriple(n, rdep.Q_CAP, element_of_order(n, rdep.Q_CAP))
+    assert validate_nqr(at_cap.n, at_cap.q, at_cap.r).valid
+    res = is_r_dependent(at_cap, [1, 2])
+    e1, e2 = res.witness  # 1 + 2 = r^e1 + 2 r^e2 (mod n)
+    assert res.dependent and (e1, e2) != (0, 0)
+    assert (pow(at_cap.r, e1, n) + 2 * pow(at_cap.r, e2, n) - 3) % n == 0
+    over = NQRTriple(2147483647, 2147483646, 7)
+    for f, seq in ((is_r_dependent, [1, 2]), (d_set, [1]), (is_r_independent, [3])):
+        with pytest.raises(InputError, match="q = 2147483646 is too large"):
+            f(over, seq)
+
+
 # -- roots of unity ------------------------------------------------------------
 
 def test_element_of_order_matches_the_scan():
@@ -246,6 +266,38 @@ def test_element_of_order_matches_the_scan():
         if is_prime(p):
             for n in range(1, p + 2):
                 assert element_of_order(p, n) == oracle_element_of_order(p, n), (p, n)
+
+
+def oracle_multiplicative_order(a, m):
+    """The step-by-step power loop that pow against phi(m) replaced."""
+    if m < 1:
+        raise InputError(f"modulus must be positive, got {m}")
+    if m == 1:
+        return 1
+    a %= m
+    if gcd(a, m) != 1:
+        return None
+    k, x = 1, a
+    while x != 1:
+        x = (x * a) % m
+        k += 1
+    return k
+
+
+def test_multiplicative_order_matches_the_loop():
+    for m in range(-2, 301):
+        for a in range(-3, max(m, 0) + 3):
+            got = outcome(multiplicative_order, a, m)
+            assert got == outcome(oracle_multiplicative_order, a, m), (a, m)
+
+
+def test_multiplicative_order_near_two_to_the_31():
+    p = 2147483647
+    assert multiplicative_order(7, p) == p - 1
+    assert multiplicative_order(2, p) == 31  # 2^31 = 1 mod 2^31 - 1
+    assert multiplicative_order(p - 1, p) == 2
+    assert multiplicative_order(10, 2**31 - 2) is None
+    assert validate_nqr(p, p - 1, 7).valid
 
 
 def test_element_of_order_near_two_to_the_31():

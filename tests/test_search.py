@@ -181,3 +181,13 @@ def test_grading_filter_is_sanity_net():
     assert [s.algebra.table.tobytes() for s in search(spec_on).survivors] == [
         s.algebra.table.tobytes() for s in search(spec_off).survivors
     ]
+
+
+def test_selective_filter_above_the_q_cap_is_refused():
+    # 3 has order 2^16 mod the prime 65537: a valid triple whose q twists
+    # are too many for the dependence tests
+    spec = CorpusSpec(p=3, n=65537, component_dims=(0, 1, 1) + (0,) * 65534,
+                      mode="random", seed=1, samples=8,
+                      selective=SelectiveFilter(1, 65536, 3))
+    with pytest.raises(InputError, match="q = 65536 is too large"):
+        search(spec)
