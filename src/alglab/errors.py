@@ -9,6 +9,15 @@ class InputError(AlgLabError, ValueError):
     """Malformed or out-of-contract input (bad dimensions, nonprime modulus, ...)."""
 
 
+WORK_BUDGET = 1_000_000  # steps of about 1 µs that one call may take
+
+
+def check_work(steps: int, what: str) -> None:
+    """Refuse (InputError, exit 2) work estimated at more than WORK_BUDGET steps."""
+    if steps > WORK_BUDGET:
+        raise InputError(f"{what} is too large: estimate {steps:,} steps, budget {WORK_BUDGET:,}")
+
+
 class FormatError(InputError):
     """Invalid algebra file; carries the offending field path."""
 

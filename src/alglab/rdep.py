@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import Algebra, left_normalized_product, subspace_product
-from .errors import HypothesisError, InputError, InternalInvariantError
+from .errors import HypothesisError, InputError, InternalInvariantError, check_work
 from .frobenius import NQRTriple
 from .grading import Grading, check_grading, component, nontrivial_components
 from .series import order_threshold
@@ -52,10 +52,6 @@ def _canonical_entries(nqr: NQRTriple, entries: Sequence[int]) -> tuple[int, ...
 # are Python sets, whose size stays below q^k however large n is.
 _DENSE_N_CAP = 1 << 20
 _STEP_OFFSETS = 1 << 13  # offsets the cached entries of one triple hold in all
-# Every twist r^e, e < q, is listed: at q = 2^14 the constants and one
-# entry's step take 1.2 s and 3.8 MB at n near 2^20, growing linearly in q.
-Q_CAP = 1 << 14
-RIGID_BUDGET = 100_000  # twist shifts (dependence tests times q) one rigid search may make
 
 
 class _Triple(dict):
@@ -65,7 +61,9 @@ class _Triple(dict):
 
     def __init__(self, n: int, q: int, r: int):
         super().__init__()
-        self.n = n
+        self.n, self.q = n, q
+        self.what = f"r-dependence mod {n} at q = {q}"
+        check_work(2 * q, self.what)  # each twist and its inverse: about 2 µs
         self.powers = tuple(pow(r, e, n) for e in range(q))
         self.twists = tuple(dict.fromkeys(self.powers))
         self.nonzero = tuple(dict.fromkeys(self.powers[1:]))
@@ -95,6 +93,10 @@ class _Triple(dict):
 class _DenseTriple(_Triple):
     empty, origin = 0, 1
 
+    def work(self, k: int) -> int:
+        """Each entry: 2 µs, and q shifts of an n-bit int at about 16 ns a word."""
+        return k * (2 + self.q * (self.n // 64 + 1) // 64)
+
     def shift(self, s: int, offsets) -> int:
         """The union of the cyclic shifts of s by each offset."""
         x = 0
@@ -115,6 +117,10 @@ class _SparseTriple(_Triple):
     empty, origin = frozenset(), frozenset((0,))
     elements = staticmethod(list)
 
+    def work(self, k: int) -> int:
+        """Each entry: 2 µs, and q shifts of at most q^(k-1) residues at 0.5 µs each."""
+        return k * (2 + self.q * min(self.n, self.q ** (k - 1)) // 2)
+
     def shift(self, s: frozenset, offsets) -> frozenset:
         n = self.n
         return frozenset((y + t) % n for y in s for t in offsets)
@@ -126,15 +132,13 @@ class _SparseTriple(_Triple):
 
 @lru_cache(maxsize=64)
 def _constants(n: int, q: int, r: int) -> _Triple:
-    if q > Q_CAP:
-        raise InputError(f"q = {q} is too large: dependence tests list all q twists r^e, "
-                         f"so q is capped at {Q_CAP}")
     return (_DenseTriple if n <= _DENSE_N_CAP else _SparseTriple)(n, q, r)
 
 
 def _reach(c: _Triple, seq: Sequence[int]):
     """The offset sums of seq that use at least one nonzero exponent, in one
     pass over seq."""
+    check_work(c.work(len(seq)), c.what)
     reach = c.empty
     for a in seq:
         offsets, _, start = c[a]
@@ -223,6 +227,7 @@ def d_set(nqr: NQRTriple, prefix: Sequence[int]) -> DSet:
         raise InputError("d_set needs an r-independent prefix")
     n, q, k = nqr.n, nqr.q, len(seq)
     offsets = c.elements(reach | c.origin)
+    check_work(len(offsets) * len(c.nonzero) // 2, c.what)  # about 0.5 µs a pair
     members = {b * u % n for u in c.units for b in offsets}
     for g, m, inv in c.solvers:
         for b in offsets:
@@ -237,6 +242,13 @@ def d_set(nqr: NQRTriple, prefix: Sequence[int]) -> DSet:
     return DSet(seq, frozenset(members))
 
 
+def d_set_work(nqr: NQRTriple, k: int) -> int:
+    """d_set's steps on k entries: the offset sums, then its pairs of r^e and
+    offset, of which there are at most min(n, q^k) (one step per two pairs)."""
+    c = _constants(nqr.n, nqr.q, nqr.r)
+    return c.work(k) + min(nqr.n, nqr.q ** k) * len(c.nonzero) // 2
+
+
 def rigid_subsequence(
     nqr: NQRTriple, entries: Sequence[int], m: int
 ) -> Optional[tuple[int, ...]]:
@@ -247,42 +259,33 @@ def rigid_subsequence(
     in first-occurrence order, and the search backtracks over them in index
     order.  Whenever the sequence contains at least q^m + m distinct values,
     a subsequence is guaranteed to exist; below that threshold the search
-    still runs and may legitimately return None.  A dependence test shifts a
-    set by the q twists of each entry, so a search whose tests times q would
-    pass RIGID_BUDGET is refused with InputError.
+    still runs and may legitimately return None.  With no closed form for its
+    work, it charges each dependence test to the work budget as it goes.
     """
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     seq = _canonical_entries(nqr, entries)
-    values: list[int] = []
-    seen: set[int] = set()
-    for a in seq:
-        if a not in seen:
-            seen.add(a)
-            values.append(a)
-    first = seq[0]
-    chosen = [first]
-    tests = 0
+    c = _constants(nqr.n, nqr.q, nqr.r)
+    values = list(dict.fromkeys(seq))
+    chosen = [seq[0]]
+    what = f"a rigid search over {len(values)} distinct values for m = {m} at q = {nqr.q}"
+    spent = 0
 
     def extend(start: int) -> bool:
-        nonlocal tests
+        nonlocal spent
         if len(chosen) == m:
             return True
         for idx in range(start, len(values)):
             chosen.append(values[idx])
-            tests += 1
-            if tests * nqr.q > RIGID_BUDGET:
-                raise InputError(
-                    f"rigid search over {len(values)} distinct values for m = {m} at q = "
-                    f"{nqr.q} needs more than {RIGID_BUDGET // nqr.q} dependence tests; "
-                    "shorten the sequence or lower m")
+            spent += c.work(len(chosen))
+            check_work(spent, what)
             # dependence is inherited by supersequences: safe to prune here
             if not _is_dependent(nqr, chosen) and extend(idx + 1):
                 return True
             chosen.pop()
         return False
 
-    # values[0] == first; extensions draw from the later distinct values
+    # values[0] == seq[0]; extensions draw from the later distinct values
     if extend(1):
         return tuple(chosen)
     return None
@@ -324,6 +327,8 @@ def selective_check(A: Algebra, G: Grading, c: int, nqr: NQRTriple) -> Selective
         raise HypothesisError("the zero component must vanish")
 
     degrees = sorted(nontrivial_components(A, G))
+    check_work(len(degrees) ** (c + 1) * _constants(nqr.n, nqr.q, nqr.r).work(c + 1),
+               f"a selective check of {len(degrees)}^{c + 1} degree tuples at q = {nqr.q}")
     comps = {i: component(A, G, i) for i in degrees}
     checked = independent = 0
     violations = []

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import Algebra, _products, _rowwise_products
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, check_work
 from .modular import check_prime
 
 
@@ -143,9 +143,6 @@ class LinearCombo:
     p: int
     terms: tuple[tuple[Word, int], ...]  # sorted by word sort key
 
-    def as_dict(self) -> dict[Word, int]:
-        return dict(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -187,8 +184,10 @@ def normalize(t: BracketTerm, alpha: int, beta: int, p: int) -> LinearCombo:
     ids = {a: i for i, a in enumerate(atoms)}
     keys = [a.sort_key() for a in atoms]
     ties = len(set(keys)) < len(keys)
+    what, spent = f"normalizing a term of {len(atoms)} atoms", 0
 
     def norm(term: BracketTerm) -> dict[tuple[int, ...], int]:
+        nonlocal spent
         if isinstance(term, Atom):
             return {(ids[term],): 1}
         lhs = norm(term.left)
@@ -196,6 +195,8 @@ def normalize(t: BracketTerm, alpha: int, beta: int, p: int) -> LinearCombo:
         if not lhs or not rhs:  # a factor that cancelled to 0
             return {}
         template = _template(len(next(iter(rhs))), inv_a, neg_ba, p)
+        spent += len(lhs) * len(rhs) * len(template)  # dict updates, about 1.5 µs each
+        check_work(spent * 3 // 2, what)
         out: dict[tuple[int, ...], int] = defaultdict(int)
         for wl, cl in lhs.items():
             for wr, cr in rhs.items():

@@ -26,10 +26,11 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .algebra import Algebra, _identity_defects
-from .errors import FormatError, InputError
+from .errors import WORK_BUDGET, FormatError, InputError, check_work
 from .formats import LoadedAlgebra, to_document
 from .frobenius import NQRTriple, validate_nqr
-from .grading import Grading
+from .grading import Grading, check_grading
+from .modular import check_prime
 from .rdep import selective_check
 from .series import derived_length, nilpotency_class
 
@@ -71,8 +72,6 @@ class CorpusSpec:
 
 
 def validate_spec(spec: CorpusSpec) -> CorpusSpec:
-    from .modular import check_prime
-
     check_prime(spec.p)
     if spec.n < 1:
         raise InputError(f"n must be >= 1, got {spec.n}")
@@ -240,8 +239,6 @@ def _threads() -> int:
 
 def _survivors_of_chunk(spec: CorpusSpec, slots, start: int, coeffs: np.ndarray) -> list[Survivor]:
     """Survivors among the candidates start, start+1, ... with coefficient rows coeffs."""
-    from .grading import check_grading
-
     degrees = spec.degrees
     G = Grading(spec.n, degrees)
     nqr = (
@@ -283,7 +280,11 @@ def search(spec: CorpusSpec) -> SearchResult:
     validate_spec(spec)
     slots = admissible_slots(spec)
     total = candidate_count(spec)
-    ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
+    if spec.mode == "exhaustive":
+        check_work(total, f"an exhaustive search over {spec.p}^{len(slots)} candidates")
+    # a chunk's identity block holds chunk * dim^4 entries: keep it within the budget
+    chunk = min(CHUNK, max(1, WORK_BUDGET // max(spec.dim, 1) ** 4))
+    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     stream = _random_stream(spec, len(slots)) if spec.mode == "random" else None
 
     def run(se):

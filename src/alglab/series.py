@@ -27,10 +27,6 @@ class SeriesResult:
     stabilized: bool          # True: ended on a nonzero repeating term
     length: Optional[int]     # derived length / nilpotency class when terms reach zero
 
-    @property
-    def reached_zero(self) -> bool:
-        return self.terms[-1].is_zero()
-
 
 def _iterate(first: Subspace, step) -> SeriesResult:
     terms = [first]

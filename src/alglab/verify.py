@@ -14,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Optional
 
 from . import rdep
 from .algebra import check_identity_uniform
-from .errors import AlgLabError, HypothesisError, InputError
+from .errors import AlgLabError, HypothesisError, InputError, check_work
 from .formats import LoadedAlgebra
 from .frobenius import _untwisted_components, eigen_grading
 from .grading import check_grading, component_count, nontrivial_components
-from .rdep import d_set, index_split_check, is_r_independent
+from .rdep import d_set, d_set_work, index_split_check, is_r_independent
 from .series import derived_length, kreknin_shalev_bound, nilpotency_class
 
-DSET_N_CAP = 200          # file-level D-set sweeps stay desk-scale
 DSET_PREFIX_CAP = 2
 
 
@@ -140,12 +140,15 @@ def _check_dset_bound(facts: _Facts, c: Optional[int]) -> CheckResult:
     if facts.loaded.action is None:
         return CheckResult(name, Status.SKIPPED, "no action block")
     nqr = facts.loaded.action.triple
-    if nqr.n > DSET_N_CAP:
-        return CheckResult(name, Status.SKIPPED, f"n = {nqr.n} beyond the sweep cap")
+    # the bound is vacuous where |D| <= n-1 <= q^(k+1)
+    lengths = [k for k in range(1, DSET_PREFIX_CAP + 1) if nqr.q ** (k + 1) < nqr.n - 1]
+    try:  # the sweep tests each of the comb(n+k-2, k) prefixes of length k
+        check_work(sum(comb(nqr.n + k - 2, k) * d_set_work(nqr, k) for k in lengths),
+                   f"the D-set sweep mod {nqr.n} at q = {nqr.q}")
+    except InputError as exc:
+        return CheckResult(name, Status.SKIPPED, str(exc))
     checked = 0
-    for k in range(1, DSET_PREFIX_CAP + 1):
-        if nqr.q ** (k + 1) >= nqr.n - 1:
-            continue  # bound is vacuous: |D| <= n-1 <= q^(k+1)
+    for k in lengths:
         # nondecreasing prefixes suffice: dependence is permutation-invariant
         for prefix in combinations_with_replacement(range(1, nqr.n), k):
             if not is_r_independent(nqr, prefix):

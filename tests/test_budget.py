@@ -1,0 +1,115 @@
+"""One work budget: every entry point charges its estimate through check_work."""
+
+import json
+import re
+import time
+
+import pytest
+from click.testing import CliRunner
+
+import alglab.errors as errors
+import alglab.search as search_mod
+from alglab import Grading, make_algebra
+from alglab.cli import main
+from alglab.formats import loads
+from alglab.frobenius import NQRTriple
+from alglab.modular import element_of_order
+from alglab.rdep import d_set, is_r_dependent, rigid_subsequence, selective_check
+from alglab.rewrite import normalize, parse
+from alglab.search import CorpusSpec, search
+from alglab.verify import verify
+
+
+def _right_nested(k):
+    term = f"a{k}"
+    for i in range(k - 1, 0, -1):
+        term = f"[a{i},{term}]"
+    return term
+
+
+HANGING = {
+    "normalize-20-atoms": ["rewrite", "normalize", _right_nested(20),
+                           "--alpha", "1", "--beta", "1", "--p", "5"],
+    "dep-sparse": ["rdep", "dep", "--n", "1048897", "--q", "64", "--r", "52048",
+                   "--seq", "1,2,3,4,5,6"],
+    "dset-q-2^14": ["rdep", "dset", "--n", "65537", "--q", "16384", "--r", "15",
+                    "--prefix", "1"],
+    "search-n9": ["search", "--spec", None],
+    "rigid-q-1024": ["rdep", "rigid", "--n", "12289", "--q", "1024", "--r", "49",
+                     "--seq", ",".join(map(str, range(1, 6000))), "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("name", HANGING)
+def test_unbounded_inputs_exit_2_within_a_second(name, tmp_path):
+    args = list(HANGING[name])
+    if None in args:  # 2^56 candidates, within the exhaustive dim and p limits
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"p": 2, "n": 9, "component_dims": [0] + [1] * 8,
+                                    "mode": "exhaustive"}))
+        args[args.index(None)] = str(spec)
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, args)
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2
+    assert elapsed < 1.0
+    assert "is too large: estimate " in result.output
+    assert f"steps, budget {errors.WORK_BUDGET:,}\n" in result.output
+
+
+def _action_file():
+    """A zero algebra on L_1 + L_6 graded mod 7, with phi = diag(w, w^6) and
+    h swapping them: (7, 2, 6) leaves one D-set length to sweep."""
+    w = element_of_order(29, 7)
+    return loads(json.dumps({
+        "p": 29, "dim": 2, "alpha": 1, "beta": 1, "table": [],
+        "grading": {"n": 7, "degrees": [1, 6]},
+        "action": {"n": 7, "q": 2, "r": 6, "phi": [[w, 0], [0, pow(w, 6, 29)]],
+                   "h": [[0, 1], [1, 0]]},
+    }))
+
+
+def test_every_entry_point_charges_the_one_budget(monkeypatch):
+    nqr = NQRTriple(31, 5, 2)
+    A = make_algebra(7, 2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    G = Grading(31, (1, 2))
+    loaded = _action_file()
+    # (what each one charges, its estimate): a one-entry dependence test costs 2
+    entry_points = {
+        ("r-dependence mod 31 at q = 5", 4): lambda: is_r_dependent(nqr, [1, 2]),
+        ("r-dependence mod 31 at q = 5", 10): lambda: d_set(nqr, [1]),
+        ("a selective check of 2^2 degree tuples at q = 5", 16):
+            lambda: selective_check(A, G, 1, nqr),
+        ("a rigid search over 4 distinct values for m = 2 at q = 5", 4):
+            lambda: rigid_subsequence(nqr, [1, 2, 3, 4], 2),
+        ("normalizing a term of 3 atoms", 4): lambda: normalize(parse("[a,[b,c]]"), 1, 1, 5),
+        ("an exhaustive search over 2^2 candidates", 4):
+            lambda: search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1))),
+    }
+    for run in entry_points.values():  # small inputs pass, and their constants are cached
+        run()
+    assert verify(loaded, "dset-bound").results[0].status.value == "pass"
+
+    monkeypatch.setattr(errors, "WORK_BUDGET", 2)
+    for (what, steps), run in entry_points.items():
+        message = f"{what} is too large: estimate {steps} steps, budget 2"
+        with pytest.raises(errors.InputError, match=f"^{re.escape(message)}$"):
+            run()
+    skipped = verify(loaded, "dset-bound").results[0]
+    assert skipped.status.value == "skipped"
+    assert skipped.message == "the D-set sweep mod 7 at q = 2 is too large: estimate 18 steps, budget 2"
+
+
+def test_random_chunks_keep_the_identity_block_in_budget(monkeypatch):
+    seen = []
+    defects = search_mod._identity_defects
+
+    def spy(tables, *args):
+        seen.append(tables.shape[0])
+        return defects(tables, *args)
+
+    monkeypatch.setattr(search_mod, "_identity_defects", spy)
+    spec = CorpusSpec(p=5, n=3, component_dims=(0, 6, 6), mode="random", seed=3, samples=100)
+    assert search(spec).candidates == 100
+    assert sum(seen) == 100
+    assert max(seen) * 12 ** 4 <= errors.WORK_BUDGET

@@ -209,7 +209,7 @@ class TestRdep:
         result = runner.invoke(main, ["rdep", "rigid", "--n", "211", "--q", "5",
                                       "--r", "55", "--seq", seq, "--m", "6"])
         assert result.exit_code == 2
-        assert "more than 20000 dependence tests" in result.output
+        assert "rigid search over 210 distinct values for m = 6 at q = 5 is too large" in result.output
 
 
 class TestRewrite:

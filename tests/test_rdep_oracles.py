@@ -246,8 +246,8 @@ def test_q_above_the_cap_is_refused():
     nqr = NQRTriple(n, 1024, element_of_order(n, 1024))
     assert validate_nqr(nqr.n, nqr.q, nqr.r).valid
     assert is_r_dependent(nqr, [1, 2]) == oracle_is_r_dependent(nqr, [1, 2])
-    n = 65537  # prime, 65537 - 1 = 2^16, so q = Q_CAP = 2^14 divides n - 1
-    at_cap = NQRTriple(n, rdep.Q_CAP, element_of_order(n, rdep.Q_CAP))
+    n = 65537  # prime, 65537 - 1 = 2^16, so q = 2^14 divides n - 1
+    at_cap = NQRTriple(n, 1 << 14, element_of_order(n, 1 << 14))
     assert validate_nqr(at_cap.n, at_cap.q, at_cap.r).valid
     res = is_r_dependent(at_cap, [1, 2])
     e1, e2 = res.witness  # 1 + 2 = r^e1 + 2 r^e2 (mod n)
