@@ -236,3 +236,21 @@ def subspace_product(A: Algebra, M: Subspace, N: Subspace) -> Subspace:
         return A.zero_space()
     prods = _products(A.table, M.basis, N.basis, A.p)
     return linalg.span(prods.reshape(-1, A.dim), A.p, A.dim)
+
+
+def _subspace_products(tables: np.ndarray, M: np.ndarray, N: np.ndarray,
+                       p: int) -> tuple[np.ndarray, np.ndarray]:
+    """subspace_product on a stack: tables (B, d, d, d), and M, N stacks of
+    echelon bases (B, rows, d), which may end in zero rows, or one basis (1,
+    rows, d) shared by the stack.  Returns the (B, d, d) echelon bases of
+    [M_b, N_b], padded with zero rows, and their ranks.  Each table
+    contracts as in _products."""
+    B, d = tables.shape[:2]
+    m, n = M.shape[1], N.shape[1]
+    Z = linalg.matmul(M, tables.reshape(B, d, d * d), p).reshape(B, m, d, d)
+    R, ranks = linalg._rref_stack(linalg.matmul(N[:, None], Z, p).reshape(B, m * n, d), p)
+    if m * n >= d:
+        return R[:, :d], ranks
+    out = np.zeros((B, d, d), dtype=np.int64)
+    out[:, : m * n] = R
+    return out, ranks

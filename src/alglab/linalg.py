@@ -89,6 +89,54 @@ def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return A, pivots
 
 
+def _inv_stack(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p entrywise (the inverse of each nonzero x), by repeated
+    squaring; products stay below (p-1)^2 < 2^63."""
+    out = np.ones_like(x)
+    base, e = x, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _rref_stack(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """rref of every matrix of a (B, rows, cols) stack at once: returns (R,
+    ranks) with R[b] equal to rref(M[b], p)[0] (pivot rows first, then zero
+    rows).  One numpy step per column eliminates it across the whole batch;
+    entries stay int64 reduced mod p, exact for p < 2^31."""
+    A = np.asarray(M, dtype=np.int64) % p
+    B, rows, cols = A.shape
+    if B == 1:  # nothing to amortise the numpy steps over
+        R, pivots = rref(A[0], p)
+        return R[None], np.array([len(pivots)])
+    ranks = np.zeros(B, dtype=np.int64)
+    below = np.arange(rows)
+    for c in range(cols):
+        cand = (A[:, :, c] != 0) & (below >= ranks[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not b.size:
+            continue
+        whole = b.size == B  # every matrix has a pivot here: work on A in place
+        sub = A if whole else A[b]
+        k, r, s = np.arange(b.size), ranks[b], cand[b].argmax(axis=1)
+        top = sub[k, s]
+        sub[k, s] = sub[k, r]  # swap the first candidate row into place r
+        top = top * _inv_stack(top[:, c : c + 1], p) % p
+        # clear column c in every row; row r is overwritten with the pivot row
+        sub -= sub[:, :, c, None] * top[:, None, :]
+        sub %= p
+        sub[k, r] = top
+        if not whole:
+            A[b] = sub
+        ranks[b] += 1
+        if ranks.min() == rows:
+            break
+    return A, ranks
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of F_p^ambient, held as a canonical reduced-echelon basis.

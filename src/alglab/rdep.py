@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from itertools import product as iproduct
 from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, left_normalized_product, subspace_product
+from .algebra import Algebra, _subspace_products, left_normalized_product, subspace_product
 from .errors import HypothesisError, InputError, InternalInvariantError, check_work
 from .frobenius import NQRTriple
 from .grading import Grading, check_grading, component, nontrivial_components
@@ -314,7 +315,8 @@ def selective_check(A: Algebra, G: Grading, c: int, nqr: NQRTriple) -> Selective
     r-independent, the left-normalized product of the corresponding
     components must vanish; multilinearity reduces this to component
     subspace products.  Requires a valid grading with trivial zero component
-    (a nonzero L_0 is a hypothesis failure, not a violation).
+    (a nonzero L_0 is a hypothesis failure, not a violation).  This is
+    _selective_violations on a stack of one table.
     """
     if c < 0:
         raise InputError(f"c must be >= 0, got {c}")
@@ -326,25 +328,59 @@ def selective_check(A: Algebra, G: Grading, c: int, nqr: NQRTriple) -> Selective
     if 0 in nontrivial_components(A, G):
         raise HypothesisError("the zero component must vanish")
 
-    degrees = sorted(nontrivial_components(A, G))
+    checked, independent, (failing,) = _selective_violations(A.table[None], A.p, G.degrees, c, nqr)
+    comps = {i: component(A, G, i) for i in {d for tup in failing for d in tup}}
+    violations = tuple(_selective_witness(A, comps, tup) for tup in failing)
+    return SelectiveReport(not violations, c, checked, independent, violations)
+
+
+@lru_cache(maxsize=256)
+def _independent_tuples(nqr: NQRTriple, degrees: tuple[int, ...],
+                        length: int) -> tuple[tuple[int, ...], ...]:
+    """The r-independent tuples of the given length over degrees, in
+    lexicographic order."""
+    return tuple(t for t in iproduct(degrees, repeat=length) if not _is_dependent(nqr, t))
+
+
+def _selective_violations(tables: np.ndarray, p: int, basis_degrees: Sequence[int], c: int,
+                          nqr: NQRTriple) -> tuple[int, int, list[list[tuple[int, ...]]]]:
+    """The selective check at level c on a (B, d, d, d) stack of tables that
+    share the grading basis_degrees (the degree of each basis vector, none of
+    them 0).  Returns (tuples checked, r-independent tuples, and per table
+    the degree tuples whose component product is nonzero, in lexicographic
+    order).
+
+    The independent tuples are found once for the whole stack.  Their walk
+    shares each prefix's component product, which holds only the tables
+    where it is still nonzero, and stops as soon as no table is left.
+    """
+    degrees = tuple(sorted(set(basis_degrees)))
     check_work(len(degrees) ** (c + 1) * _constants(nqr.n, nqr.q, nqr.r).work(c + 1),
                f"a selective check of {len(degrees)}^{c + 1} degree tuples at q = {nqr.q}")
-    comps = {i: component(A, G, i) for i in degrees}
-    checked = independent = 0
-    violations = []
-    for tup in iproduct(degrees, repeat=c + 1):
-        checked += 1
-        if _is_dependent(nqr, tup):
-            continue
-        independent += 1
-        acc = comps[tup[0]]
-        for d in tup[1:]:
-            acc = subspace_product(A, acc, comps[d])
-            if acc.is_zero():
-                break
-        if not acc.is_zero():
-            violations.append(_selective_witness(A, comps, tup))
-    return SelectiveReport(not violations, c, checked, independent, tuple(violations))
+    tuples = _independent_tuples(nqr, degrees, c + 1)
+    B, d = tables.shape[:2]
+    eye, labels = np.eye(d, dtype=np.int64), np.asarray(basis_degrees)
+    comps = {i: eye[labels == i][None] for i in degrees}  # echelon bases, shared by the stack
+    failing: list[list[tuple[int, ...]]] = [[] for _ in range(B)]
+
+    def walk(group, depth: int, live: np.ndarray, acc) -> None:
+        if depth == c + 1:
+            for b in live.tolist():
+                failing[b].append(group[0])
+            return
+        for i, sub in groupby(group, key=lambda tup: tup[depth]):
+            nxt = comps[i]
+            if depth:
+                nxt, ranks = _subspace_products(tables[live], acc, nxt, p)
+                live_i, nxt = live[ranks > 0], nxt[ranks > 0, : ranks.max()]
+            else:
+                live_i = live
+            if live_i.size:
+                walk(list(sub), depth + 1, live_i, nxt)
+
+    if B and tuples:
+        walk(tuples, 0, np.arange(B), None)
+    return len(degrees) ** (c + 1), len(tuples), failing
 
 
 def _selective_witness(A: Algebra, comps, tup) -> SelectiveViolation:
@@ -380,6 +416,7 @@ def index_split_check(n: int) -> IndexSplitReport:
     falsify elementary arithmetic and is reported rather than raised."""
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
+    check_work((n - 1) ** 2, f"an index-split check of {n - 1}^2 pairs mod {n}")
     failures = []
     checked = 0
     for i in range(1, n):

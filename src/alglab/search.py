@@ -7,10 +7,12 @@ scalars are exactly the admissible (i, j, k) slots.  Candidates are indexed
 by mixed-radix words over those slots (first slot most significant), which
 makes the stream order deterministic and chunkable.
 
-Identity filtering is vectorized over batches of candidate tables; survivors
-then get exact series statistics one by one.  ALGLAB_THREADS > 1 distributes
-chunks over a thread pool; chunk results are merged in index order so the
-output stream does not depend on the worker count.
+Each chunk of candidates is one stack of tables: the identity and grading
+filters, the selective check and both exact series lengths run on the whole
+stack at once, never on one survivor at a time.  Random mode replays
+random.Random(seed).randrange(p) in numpy, draw for draw.  ALGLAB_THREADS > 1
+distributes chunks over a thread pool; chunk results are merged in index
+order so the output stream does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .algebra import Algebra, _identity_defects
 from .errors import WORK_BUDGET, FormatError, InputError, check_work
 from .formats import LoadedAlgebra, to_document
 from .frobenius import NQRTriple, validate_nqr
-from .grading import Grading, check_grading
+from .grading import Grading
 from .modular import check_prime
-from .rdep import selective_check
-from .series import derived_length, nilpotency_class
+from .rdep import _selective_violations
+from .series import _stacked_lengths
 
 EXHAUSTIVE_DIM_LIMIT = 8
 EXHAUSTIVE_P_LIMIT = 3
@@ -180,11 +182,26 @@ def _exhaustive_block(p: int, nslots: int, start: int, stop: int) -> np.ndarray:
 
 
 def _random_stream(spec: CorpusSpec, nslots: int) -> np.ndarray:
-    """The whole seeded coefficient stream, one row per sample, drawn in order."""
-    rng = random.Random(spec.seed)
+    """The whole seeded coefficient stream, one row per sample, drawn in order:
+    random.Random(seed).randrange(p), replayed in numpy.
+
+    For p < 2^31, randrange(p) takes the top k = p.bit_length() bits of one
+    32-bit Mersenne Twister word and draws again while the value is >= p, so
+    an MT19937 started from the same state yields the same values.
+    """
     count = spec.samples * nslots
-    flat = np.fromiter((rng.randrange(spec.p) for _ in range(count)), np.int64, count)
-    return flat.reshape(spec.samples, nslots)
+    state = random.Random(spec.seed).getstate()[1]
+    words = np.random.MT19937()
+    words.state = {"bit_generator": "MT19937",
+                   "state": {"key": np.asarray(state[:-1], dtype=np.uint32), "pos": state[-1]}}
+    k = spec.p.bit_length()
+    parts, have = [np.zeros(0, dtype=np.uint64)], 0
+    while have < count:  # each word is accepted with probability p / 2^k > 1/2
+        draws = words.random_raw(((count - have) << k) // spec.p + 64) >> np.uint64(32 - k)
+        draws = draws[draws < spec.p]
+        parts.append(draws)
+        have += draws.size
+    return np.concatenate(parts)[:count].astype(np.int64).reshape(spec.samples, nslots)
 
 
 @dataclass(frozen=True)
@@ -238,41 +255,43 @@ def _threads() -> int:
 
 
 def _survivors_of_chunk(spec: CorpusSpec, slots, start: int, coeffs: np.ndarray) -> list[Survivor]:
-    """Survivors among the candidates start, start+1, ... with coefficient rows coeffs."""
+    """Survivors among the candidates start, start+1, ... with coefficient rows
+    coeffs.  Every filter and both series lengths run on the whole stack of
+    tables at once."""
     degrees = spec.degrees
-    G = Grading(spec.n, degrees)
-    nqr = (
-        NQRTriple(spec.n, spec.selective.q, spec.selective.r)
-        if spec.selective is not None
-        else None
-    )
-    d = spec.dim
+    p, d = spec.p, spec.dim
     tables = np.zeros((coeffs.shape[0], d, d, d), dtype=np.int64)
     for pos, (i, j, k) in enumerate(slots):
         tables[:, i, j, k] = coeffs[:, pos]
+    keep = np.ones(tables.shape[0], dtype=bool)
     if spec.identity_filter:
-        defects = _identity_defects(tables, spec.p, spec.alpha % spec.p, spec.beta % spec.p)[0]
-        mask = ~defects.reshape(len(tables), -1).any(axis=1)
-    else:
-        mask = np.ones(tables.shape[0], dtype=bool)
-    out = []
-    for local in np.flatnonzero(mask):
-        A = Algebra(spec.p, d, tables[local].copy(), spec.alpha % spec.p, spec.beta % spec.p)
-        if spec.grading_filter and not check_grading(A, G).ok:
-            continue  # unreachable by construction; kept as a cheap sanity net
-        if nqr is not None and not selective_check(A, G, spec.selective.c, nqr).ok:
-            continue
-        out.append(
-            Survivor(
-                A,
-                G,
-                d=len(set(degrees)),
-                derived_length=derived_length(A),
-                nilpotency_class=nilpotency_class(A),
-                index=start + int(local),
-            )
+        defects = _identity_defects(tables, p, spec.alpha % p, spec.beta % p)[0]
+        keep &= ~defects.reshape(len(tables), -1).any(axis=1)
+    if spec.grading_filter:
+        # unreachable by construction; kept as a cheap sanity net: no entry
+        # of a table may sit off the degree deg(i) + deg(j) mod n
+        deg = np.asarray(degrees, dtype=np.int64)
+        off = deg[None, None, :] != (deg[:, None, None] + deg[None, :, None]) % spec.n
+        keep &= ~tables[:, off].any(axis=1)
+    index = np.flatnonzero(keep)
+    if spec.selective is not None and index.size:
+        nqr = NQRTriple(spec.n, spec.selective.q, spec.selective.r)
+        failing = _selective_violations(tables[index], p, degrees, spec.selective.c, nqr)[2]
+        index = index[[not f for f in failing]]
+    kept = tables[index]
+    derived, classes = _stacked_lengths(kept, p)
+    G = Grading(spec.n, degrees)
+    return [
+        Survivor(
+            Algebra(p, d, kept[pos].copy(), spec.alpha % p, spec.beta % p),
+            G,
+            d=len(set(degrees)),
+            derived_length=derived[pos],
+            nilpotency_class=classes[pos],
+            index=start + int(local),
         )
-    return out
+        for pos, local in enumerate(index.tolist())
+    ]
 
 
 def search(spec: CorpusSpec) -> SearchResult:
@@ -282,6 +301,9 @@ def search(spec: CorpusSpec) -> SearchResult:
     total = candidate_count(spec)
     if spec.mode == "exhaustive":
         check_work(total, f"an exhaustive search over {spec.p}^{len(slots)} candidates")
+    else:  # one draw per slot of each sample
+        check_work(total * len(slots),
+                   f"a random search of {total:,} samples over {len(slots)} slots")
     # a chunk's identity block holds chunk * dim^4 entries: keep it within the budget
     chunk = min(CHUNK, max(1, WORK_BUDGET // max(spec.dim, 1) ** 4))
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, _products, subspace_product
+from .algebra import Algebra, _products, _subspace_products, subspace_product
 from .errors import InputError
 from .linalg import Subspace
 
@@ -60,6 +60,35 @@ def lower_central_series(A: Algebra) -> SeriesResult:
 
 def nilpotency_class(A: Algebra) -> Optional[int]:
     return lower_central_series(A).length
+
+
+def _stacked_lengths(tables: np.ndarray, p: int) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    """derived_length and nilpotency_class of every table of a (B, d, d, d)
+    stack, with both series of all tables stepped at once.
+
+    A series leaves the stack when its term reaches zero (its length is the
+    step count) or repeats its predecessor exactly (no length), comparing
+    the canonical echelon bases as derived_series and lower_central_series
+    do.  Those stay the per-algebra path: they return the terms.
+    """
+    B, d = tables.shape[:2]
+    eye = np.eye(d, dtype=np.int64)
+    lengths: list[Optional[int]] = [None] * (2 * B)  # derived lengths, then classes
+    live, S, ranks = np.arange(2 * B), np.broadcast_to(eye, (2 * B, d, d)), np.full(2 * B, d)
+    step = 0
+    while True:
+        done = ranks == 0
+        for i in live[done].tolist():
+            lengths[i] = step
+        live, S, ranks = live[~done], S[~done], ranks[~done]
+        if not live.size:
+            return lengths[:B], lengths[B:]
+        # [S, S] on the derived side, [S, L] on the lower central side
+        right = np.where((live < B)[:, None, None], S, eye)
+        nxt, ranks = _subspace_products(tables[live % B], S[:, : ranks.max()], right, p)
+        moved = ~(nxt == S).all(axis=(1, 2))
+        live, S, ranks = live[moved], nxt[moved], ranks[moved]
+        step += 1
 
 
 def lower_central_series_two_sided(A: Algebra) -> SeriesResult:

@@ -172,7 +172,10 @@ def _check_index_split(facts: _Facts, c: Optional[int]) -> CheckResult:
         n = facts.loaded.action.triple.n
     if n is None or n < 2:
         return CheckResult(name, Status.SKIPPED, "no modulus n >= 2 available")
-    rep = index_split_check(n)
+    try:
+        rep = index_split_check(n)
+    except InputError as exc:
+        return CheckResult(name, Status.SKIPPED, str(exc))
     if rep.ok:
         return CheckResult(
             name, Status.PASS,

@@ -14,7 +14,13 @@ from alglab.cli import main
 from alglab.formats import loads
 from alglab.frobenius import NQRTriple
 from alglab.modular import element_of_order
-from alglab.rdep import d_set, is_r_dependent, rigid_subsequence, selective_check
+from alglab.rdep import (
+    d_set,
+    index_split_check,
+    is_r_dependent,
+    rigid_subsequence,
+    selective_check,
+)
 from alglab.rewrite import normalize, parse
 from alglab.search import CorpusSpec, search
 from alglab.verify import verify
@@ -34,7 +40,13 @@ HANGING = {
                    "--seq", "1,2,3,4,5,6"],
     "dset-q-2^14": ["rdep", "dset", "--n", "65537", "--q", "16384", "--r", "15",
                     "--prefix", "1"],
-    "search-n9": ["search", "--spec", None],
+    # 2^56 candidates, within the exhaustive dim and p limits
+    "search-n9": ["search", "--spec", {"p": 2, "n": 9, "component_dims": [0] + [1] * 8,
+                                       "mode": "exhaustive"}],
+    # 16,000,000 draws
+    "search-random-1M": ["search", "--spec", {"p": 5, "n": 3, "component_dims": [0, 2, 2],
+                                              "mode": "random", "seed": 1,
+                                              "samples": 1000000}],
     "rigid-q-1024": ["rdep", "rigid", "--n", "12289", "--q", "1024", "--r", "49",
                      "--seq", ",".join(map(str, range(1, 6000))), "--m", "2"],
 }
@@ -43,11 +55,10 @@ HANGING = {
 @pytest.mark.parametrize("name", HANGING)
 def test_unbounded_inputs_exit_2_within_a_second(name, tmp_path):
     args = list(HANGING[name])
-    if None in args:  # 2^56 candidates, within the exhaustive dim and p limits
+    if isinstance(args[-1], dict):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"p": 2, "n": 9, "component_dims": [0] + [1] * 8,
-                                    "mode": "exhaustive"}))
-        args[args.index(None)] = str(spec)
+        spec.write_text(json.dumps(args[-1]))
+        args[-1] = str(spec)
     start = time.perf_counter()
     result = CliRunner().invoke(main, args)
     elapsed = time.perf_counter() - start
@@ -85,10 +96,15 @@ def test_every_entry_point_charges_the_one_budget(monkeypatch):
         ("normalizing a term of 3 atoms", 4): lambda: normalize(parse("[a,[b,c]]"), 1, 1, 5),
         ("an exhaustive search over 2^2 candidates", 4):
             lambda: search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1))),
+        ("a random search of 3 samples over 2 slots", 6):
+            lambda: search(CorpusSpec(p=3, n=3, component_dims=(0, 1, 1), mode="random",
+                                      seed=1, samples=3)),
+        ("an index-split check of 30^2 pairs mod 31", 900): lambda: index_split_check(31),
     }
     for run in entry_points.values():  # small inputs pass, and their constants are cached
         run()
-    assert verify(loaded, "dset-bound").results[0].status.value == "pass"
+    for check in ("dset-bound", "index-split"):
+        assert verify(loaded, check).results[0].status.value == "pass"
 
     monkeypatch.setattr(errors, "WORK_BUDGET", 2)
     for (what, steps), run in entry_points.items():
@@ -98,6 +114,25 @@ def test_every_entry_point_charges_the_one_budget(monkeypatch):
     skipped = verify(loaded, "dset-bound").results[0]
     assert skipped.status.value == "skipped"
     assert skipped.message == "the D-set sweep mod 7 at q = 2 is too large: estimate 18 steps, budget 2"
+    skipped = verify(loaded, "index-split").results[0]
+    assert skipped.status.value == "skipped"
+    assert skipped.message == (
+        "an index-split check of 6^2 pairs mod 7 is too large: estimate 36 steps, budget 2")
+
+
+def test_index_split_on_a_large_modulus_is_skipped_within_a_second(tmp_path):
+    path = tmp_path / "n100003.json"
+    path.write_text(json.dumps({"p": 5, "dim": 1, "alpha": 1, "beta": 1, "table": [],
+                                "grading": {"n": 100003, "degrees": [1]}}))
+    message = ("index-split: skipped - an index-split check of 100002^2 pairs mod 100003 "
+               "is too large: estimate 10,000,400,004 steps, budget 1,000,000\n")
+    # requested alone, a skipped check exits 2; under all it does not count
+    for check, code in (("index-split", 2), ("all", 0)):
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["verify", check, str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == code
+        assert message in result.output
 
 
 def test_random_chunks_keep_the_identity_block_in_budget(monkeypatch):

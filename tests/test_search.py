@@ -123,11 +123,15 @@ def test_random_stream_independent_of_chunking_and_threads(monkeypatch, chunk, t
     assert got.summary == want.summary
 
 
-def test_random_candidates_follow_the_seeded_draws():
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 2147483647])
+@pytest.mark.parametrize("seed", [99, 0, 7001, 2**40 + 3])
+def test_random_candidates_follow_the_seeded_draws(p, seed):
+    # random.Random is the oracle: the stream replays randrange(p) in numpy,
+    # so a change to CPython's randrange makes this fail
     import random
 
-    spec = CorpusSpec(p=3, n=3, component_dims=(0, 1, 1), mode="random",
-                      seed=99, samples=500, identity_filter=False)
+    spec = CorpusSpec(p=p, n=3, component_dims=(0, 1, 1), mode="random",
+                      seed=seed, samples=500, identity_filter=False)
     slots = admissible_slots(spec)
     rng = random.Random(spec.seed)
     draws = [rng.randrange(spec.p) for _ in range(spec.samples * len(slots))]
@@ -181,6 +185,20 @@ def test_grading_filter_is_sanity_net():
     assert [s.algebra.table.tobytes() for s in search(spec_on).survivors] == [
         s.algebra.table.tobytes() for s in search(spec_off).survivors
     ]
+
+
+def test_grading_filter_drops_off_grade_entries(monkeypatch):
+    import alglab.search as search_mod
+
+    # one slot more than the grading admits: [e1, e1] may touch e1 of degree 1
+    slots = admissible_slots(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1)))
+    monkeypatch.setattr(search_mod, "admissible_slots", lambda spec: slots + [(0, 0, 0)])
+    on = search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1), identity_filter=False))
+    off = search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1), identity_filter=False,
+                            grading_filter=False))
+    assert len(off.survivors) == 8
+    assert [s.index for s in on.survivors] == [s.index for s in off.survivors
+                                               if not s.algebra.table[0, 0, 0]]
 
 
 def test_selective_filter_above_the_q_cap_is_refused():
