@@ -98,7 +98,7 @@ def _products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray
     return linalg.matmul(Y, Z, p)
 
 
-_ROW_BLOCK = 1 << 16  # entries of the (rows, d, d) intermediate held at once
+_ROW_BLOCK = 1 << 16  # entries of a row block's intermediate held at once
 
 
 def _rowwise_products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
@@ -148,21 +148,28 @@ class IdentityReport:
     failures: tuple[IdentityFailure, ...]
 
 
-def _identity_defects(tables: np.ndarray, p: int, alpha: int, beta: int):
-    """Both sides of the identity on every basis triple of a batch of tables.
+def _identity_defects(tables: np.ndarray, p: int, alpha: int, beta: int,
+                      lo: int = 0, hi: int | None = None):
+    """Both sides of the identity on the basis triples (i, j, k) with lo <= i < hi
+    (hi defaults to d) of a batch of tables.
 
     tables has shape (B, d, d, d) with entries reduced mod p.  Returns
-    (defects, lhs, rhs): lhs[b,i,j,k] = [[b_i,b_j],b_k], rhs[b,i,j,k] =
-    alpha*[b_i,[b_j,b_k]] + beta*[[b_i,b_k],b_j], and defects[b,i,j,k] is
-    True where the two differ.  Contractions are exact (linalg.matmul).
+    (defects, lhs, rhs), indexed by (b, i - lo, j, k): lhs[b,i,j,k] =
+    [[b_i,b_j],b_k], rhs[b,i,j,k] = alpha*[b_i,[b_j,b_k]] + beta*[[b_i,b_k],b_j],
+    and defects[b,i,j,k] is True where the two differ.  Contractions are
+    exact (linalg.matmul); the work is proportional to hi - lo.
     """
     B, d = tables.shape[:2]
-    flat = tables.reshape(B, d * d, d)
+    hi = d if hi is None else hi
+    rows = tables[:, lo:hi]
+    r = rows.shape[1]
     # lhs[b,i,j,k,l] = sum_m T[i,j,m] T[m,k,l]
-    lhs = linalg.matmul(flat, tables.reshape(B, d, d * d), p).reshape(B, d, d, d, d)
+    lhs = linalg.matmul(rows.reshape(B, r * d, d), tables.reshape(B, d, d * d), p)
+    lhs = lhs.reshape(B, r, d, d, d)
     # [b_i,[b_j,b_k]]_l = sum_m T[j,k,m] T[i,m,l]: contract m against T[m,i,l]
-    rhs = linalg.matmul(flat, tables.transpose(0, 2, 1, 3).reshape(B, d, d * d), p)
-    rhs = rhs.reshape(B, d, d, d, d).transpose(0, 3, 1, 2, 4)
+    rhs = linalg.matmul(tables.reshape(B, d * d, d),
+                        rows.transpose(0, 2, 1, 3).reshape(B, d, r * d), p)
+    rhs = rhs.reshape(B, d, d, r, d).transpose(0, 3, 1, 2, 4)
     rhs *= alpha
     # [[b_i,b_k],b_j] is lhs with j and k swapped
     rhs += beta * lhs.transpose(0, 1, 3, 2, 4)
@@ -170,19 +177,44 @@ def _identity_defects(tables: np.ndarray, p: int, alpha: int, beta: int):
     return (lhs != rhs).any(axis=-1), lhs, rhs
 
 
+def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int) -> np.ndarray:
+    """True for each table of a (B, d, d, d) stack that satisfies the identity
+    on every basis triple.  Row 0 (i = 0) runs on the whole stack first, and
+    rows 1..d-1 only on the tables that pass it: random tables almost all
+    fail on row 0, so most of the stack never pays for the full contraction.
+    A stack whose whole block fits in _ROW_BLOCK entries takes one call, as
+    a second call would cost more than the rows it saves."""
+    B, d = tables.shape[:2]
+    split = 1 if B * d**4 > _ROW_BLOCK else d
+    keep = ~_identity_defects(tables, p, alpha, beta, 0, split)[0].any(axis=(1, 2, 3))
+    index = np.flatnonzero(keep)
+    if index.size and split < d:
+        rest = _identity_defects(tables[index], p, alpha, beta, split)[0]
+        keep[index] = ~rest.any(axis=(1, 2, 3))
+    return keep
+
+
 def check_identity_uniform(A: Algebra) -> IdentityReport:
     """Certify [[a,b],c] = alpha*[a,[b,c]] + beta*[[a,c],b] on all basis triples.
 
     Passing on every triple certifies the identity for all elements of the
     algebra (both sides are trilinear).  The report lists each failing triple
-    with both evaluated sides, in lexicographic triple order.
+    with both evaluated sides, in lexicographic triple order.  Rows i go in
+    blocks, so each block's (rows, d, d, d) intermediates stay within
+    _ROW_BLOCK entries.
     """
-    defects, lhs, rhs = _identity_defects(A.table[None], A.p, A.alpha, A.beta)
-    failures = tuple(
-        IdentityFailure(tuple(t), tuple(lhs[(0, *t)].tolist()), tuple(rhs[(0, *t)].tolist()))
-        for t in np.argwhere(defects[0]).tolist()
-    )
-    return IdentityReport(not failures, A.dim**3, failures)
+    d = A.dim
+    step = max(1, _ROW_BLOCK // max(1, d**3))
+    failures = []
+    for lo in range(0, d, step):
+        defects, lhs, rhs = _identity_defects(A.table[None], A.p, A.alpha, A.beta,
+                                              lo, lo + step)
+        failures += [
+            IdentityFailure((lo + i, j, k), tuple(lhs[0, i, j, k].tolist()),
+                            tuple(rhs[0, i, j, k].tolist()))
+            for i, j, k in np.argwhere(defects[0]).tolist()
+        ]
+    return IdentityReport(not failures, d**3, tuple(failures))
 
 
 def identity_holds_for(A: Algebra, a, b, c, alpha: int | None = None,

@@ -7,9 +7,12 @@ scalars are exactly the admissible (i, j, k) slots.  Candidates are indexed
 by mixed-radix words over those slots (first slot most significant), which
 makes the stream order deterministic and chunkable.
 
-Each chunk of candidates is one stack of tables: the identity and grading
-filters, the selective check and both exact series lengths run on the whole
-stack at once, never on one survivor at a time.  Random mode replays
+Slots, their table positions, the grading net and the selective triple are
+set up once per search call.  Each chunk of candidates is then one stack of
+tables: the identity filter checks basis row 0 on the whole stack and the
+other rows only on the tables that pass it; the grading net, the selective
+check and both exact series lengths run on the stack of identity survivors
+at once, never on one survivor at a time.  Random mode replays
 random.Random(seed).randrange(p) in numpy, draw for draw.  ALGLAB_THREADS > 1
 distributes chunks over a thread pool; chunk results are merged in index
 order so the output stream does not depend on the worker count.
@@ -27,7 +30,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .algebra import Algebra, _identity_defects
+from .algebra import Algebra, _identity_mask
 from .errors import WORK_BUDGET, FormatError, InputError, check_work
 from .formats import LoadedAlgebra, to_document
 from .frobenius import NQRTriple, validate_nqr
@@ -165,10 +168,11 @@ def admissible_slots(spec: CorpusSpec) -> list[tuple[int, int, int]]:
     return slots
 
 
-def candidate_count(spec: CorpusSpec) -> int:
+def candidate_count(spec: CorpusSpec, slots=None) -> int:
+    """Size of the candidate stream; slots, if given, are admissible_slots(spec)."""
     if spec.mode == "random":
         return spec.samples
-    return spec.p ** len(admissible_slots(spec))
+    return spec.p ** len(admissible_slots(spec) if slots is None else slots)
 
 
 def _exhaustive_block(p: int, nslots: int, start: int, stop: int) -> np.ndarray:
@@ -254,38 +258,62 @@ def _threads() -> int:
         return 1
 
 
-def _survivors_of_chunk(spec: CorpusSpec, slots, start: int, coeffs: np.ndarray) -> list[Survivor]:
+@dataclass(frozen=True)
+class _Setup:
+    """What every chunk of one search call shares, built once per call."""
+
+    spec: CorpusSpec
+    slot_index: np.ndarray            # flat table position of each slot
+    off_grade: Optional[np.ndarray]   # flat positions off deg(i) + deg(j) mod n
+    nqr: Optional[NQRTriple]
+    grading: Grading
+
+
+def _setup(spec: CorpusSpec, slots) -> _Setup:
+    d = spec.dim
+    slot_index = np.asarray([(i * d + j) * d + k for i, j, k in slots], dtype=np.intp)
+    off_grade = None
+    if spec.grading_filter:
+        deg = np.asarray(spec.degrees, dtype=np.int64)
+        off = deg[None, None, :] != (deg[:, None, None] + deg[None, :, None]) % spec.n
+        off_grade = np.flatnonzero(off)
+    nqr = None
+    if spec.selective is not None:
+        nqr = NQRTriple(spec.n, spec.selective.q, spec.selective.r)
+    return _Setup(spec, slot_index, off_grade, nqr, Grading(spec.n, spec.degrees))
+
+
+def _survivors_of_chunk(setup: _Setup, start: int, coeffs: np.ndarray) -> list[Survivor]:
     """Survivors among the candidates start, start+1, ... with coefficient rows
     coeffs.  Every filter and both series lengths run on the whole stack of
     tables at once."""
-    degrees = spec.degrees
-    p, d = spec.p, spec.dim
-    tables = np.zeros((coeffs.shape[0], d, d, d), dtype=np.int64)
-    for pos, (i, j, k) in enumerate(slots):
-        tables[:, i, j, k] = coeffs[:, pos]
-    keep = np.ones(tables.shape[0], dtype=bool)
+    spec = setup.spec
+    p, d, B = spec.p, spec.dim, coeffs.shape[0]
+    alpha, beta = spec.alpha % p, spec.beta % p
+    flat = np.zeros((B, d**3), dtype=np.int64)
+    flat[:, setup.slot_index] = coeffs
+    tables = flat.reshape(B, d, d, d)
     if spec.identity_filter:
-        defects = _identity_defects(tables, p, spec.alpha % p, spec.beta % p)[0]
-        keep &= ~defects.reshape(len(tables), -1).any(axis=1)
-    if spec.grading_filter:
+        index = np.flatnonzero(_identity_mask(tables, p, alpha, beta))
+    else:
+        index = np.arange(B)
+    if setup.off_grade is not None:
         # unreachable by construction; kept as a cheap sanity net: no entry
         # of a table may sit off the degree deg(i) + deg(j) mod n
-        deg = np.asarray(degrees, dtype=np.int64)
-        off = deg[None, None, :] != (deg[:, None, None] + deg[None, :, None]) % spec.n
-        keep &= ~tables[:, off].any(axis=1)
-    index = np.flatnonzero(keep)
-    if spec.selective is not None and index.size:
-        nqr = NQRTriple(spec.n, spec.selective.q, spec.selective.r)
-        failing = _selective_violations(tables[index], p, degrees, spec.selective.c, nqr)[2]
+        index = index[~flat[index[:, None], setup.off_grade].any(axis=1)]
+    degrees = setup.grading.degrees
+    if setup.nqr is not None and index.size:
+        failing = _selective_violations(tables[index], p, degrees, spec.selective.c,
+                                        setup.nqr)[2]
         index = index[[not f for f in failing]]
     kept = tables[index]
     derived, classes = _stacked_lengths(kept, p)
-    G = Grading(spec.n, degrees)
+    components = len(set(degrees))
     return [
         Survivor(
-            Algebra(p, d, kept[pos].copy(), spec.alpha % p, spec.beta % p),
-            G,
-            d=len(set(degrees)),
+            Algebra(p, d, kept[pos].copy(), alpha, beta),
+            setup.grading,
+            d=components,
             derived_length=derived[pos],
             nilpotency_class=classes[pos],
             index=start + int(local),
@@ -298,7 +326,7 @@ def search(spec: CorpusSpec) -> SearchResult:
     """Run the full pipeline and collect survivors plus per-bucket maxima."""
     validate_spec(spec)
     slots = admissible_slots(spec)
-    total = candidate_count(spec)
+    total = candidate_count(spec, slots)
     if spec.mode == "exhaustive":
         check_work(total, f"an exhaustive search over {spec.p}^{len(slots)} candidates")
     else:  # one draw per slot of each sample
@@ -308,6 +336,7 @@ def search(spec: CorpusSpec) -> SearchResult:
     chunk = min(CHUNK, max(1, WORK_BUDGET // max(spec.dim, 1) ** 4))
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     stream = _random_stream(spec, len(slots)) if spec.mode == "random" else None
+    setup = _setup(spec, slots)
 
     def run(se):
         start, stop = se
@@ -315,7 +344,7 @@ def search(spec: CorpusSpec) -> SearchResult:
             coeffs = stream[start:stop]
         else:
             coeffs = _exhaustive_block(spec.p, len(slots), start, stop)
-        return _survivors_of_chunk(spec, slots, start, coeffs)
+        return _survivors_of_chunk(setup, start, coeffs)
 
     workers = _threads()
     if workers > 1 and len(ranges) > 1:

@@ -137,13 +137,13 @@ def test_index_split_on_a_large_modulus_is_skipped_within_a_second(tmp_path):
 
 def test_random_chunks_keep_the_identity_block_in_budget(monkeypatch):
     seen = []
-    defects = search_mod._identity_defects
+    mask = search_mod._identity_mask
 
     def spy(tables, *args):
         seen.append(tables.shape[0])
-        return defects(tables, *args)
+        return mask(tables, *args)
 
-    monkeypatch.setattr(search_mod, "_identity_defects", spy)
+    monkeypatch.setattr(search_mod, "_identity_mask", spy)
     spec = CorpusSpec(p=5, n=3, component_dims=(0, 6, 6), mode="random", seed=3, samples=100)
     assert search(spec).candidates == 100
     assert sum(seen) == 100

@@ -4,8 +4,10 @@ Each oracle below is the basis-pair or basis-triple loop that the library
 used before its table-level work moved onto `_products` and
 `_identity_defects`.  The oracles multiply with exact Python integers, so they
 share no arithmetic with the kernels and also cover the object-dtype path
-taken when d*(p-1)^2 >= 2^63.  Reports are compared by repr as well as by
-equality, which pins failure order and the Python int types of every field.
+taken when d*(p-1)^2 >= 2^63.  The row cascade `_identity_mask` is also
+checked against the whole-table `_identity_defects` it replaced in `search`.
+Reports are compared by repr as well as by equality, which pins failure order
+and the Python int types of every field.
 """
 
 import random
@@ -25,7 +27,9 @@ from alglab import (
     span,
     subspace_product,
 )
-from alglab.algebra import IdentityFailure, IdentityReport, _identity_defects
+from alglab import algebra, linalg
+from alglab import search as search_mod
+from alglab.algebra import IdentityFailure, IdentityReport, _identity_defects, _identity_mask
 from alglab.frobenius import AutomorphismFailure, AutomorphismReport
 from alglab.grading import GradingReport, GradingViolation
 from alglab.linalg import mat_inv, nullspace
@@ -76,6 +80,24 @@ def oracle_identity(A):
                         IdentityFailure((i, j, k), tuple(lhs.tolist()), tuple(rhs.tolist()))
                     )
     return IdentityReport(not failures, d**3, tuple(failures))
+
+
+def oracle_identity_defects(tables, p, alpha, beta):
+    """The whole-table batched kernel: both sides on every basis triple of a
+    (B, d, d, d) stack at once, as one (B, d, d, d, d) contraction."""
+    B, d = tables.shape[:2]
+    flat = tables.reshape(B, d * d, d)
+    lhs = linalg.matmul(flat, tables.reshape(B, d, d * d), p).reshape(B, d, d, d, d)
+    rhs = linalg.matmul(flat, tables.transpose(0, 2, 1, 3).reshape(B, d, d * d), p)
+    rhs = rhs.reshape(B, d, d, d, d).transpose(0, 3, 1, 2, 4)
+    rhs *= alpha
+    rhs += beta * lhs.transpose(0, 1, 3, 2, 4)
+    rhs %= p
+    return (lhs != rhs).any(axis=-1), lhs, rhs
+
+
+def oracle_identity_mask(tables, p, alpha, beta):
+    return ~oracle_identity_defects(tables, p, alpha, beta)[0].any(axis=(1, 2, 3))
 
 
 def oracle_grading(A, G):
@@ -139,6 +161,35 @@ def random_table(rng, p, d, density=0.5):
         if rng.random() < density:
             T[idx] = rng.randrange(p)
     return T
+
+
+def square_zero_table(rng, p, d):
+    """[L, L] inside a subspace that multiplies to zero with everything, so
+    both sides of the identity vanish for every alpha and beta."""
+    top = rng.randrange(d + 1)
+    T = np.zeros((d, d, d), dtype=np.int64)
+    for i, j, k in np.ndindex(top, top, d - top):
+        T[i, j, top + k] = rng.randrange(p)
+    order = list(range(d))
+    rng.shuffle(order)
+    return T[np.ix_(order, order, order)]
+
+
+def identity_stack(rng, p, d, count):
+    """A seeded (count, d, d, d) stack mixing random tables, passing ones,
+    passing ones with one entry changed, and tables whose row 0 is zero, which
+    pass every triple (0, j, k) and are decided by the later rows."""
+    tables = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        T = random_table(rng, p, d, density=0.3) if kind in (0, 3) else square_zero_table(rng, p, d)
+        if kind == 2 and d:
+            idx = tuple(rng.randrange(d) for _ in range(3))
+            T[idx] = (T[idx] + 1 + rng.randrange(p - 1)) % p
+        if kind == 3 and d:
+            T[0] = 0
+        tables.append(T)
+    return np.asarray(tables, dtype=np.int64).reshape(count, d, d, d)
 
 
 def graded_table(rng, p, degrees, n):
@@ -221,10 +272,88 @@ def test_batched_identity_matches_single_tables(p):
     tables = np.stack([random_table(rng, p, d, density=0.15) for _ in range(40)])
     alpha, beta = 1, p - 1
     defects, _, _ = _identity_defects(tables, p, alpha, beta)
-    mask = ~defects.reshape(len(tables), -1).any(axis=1)
+    whole = ~defects.reshape(len(tables), -1).any(axis=1)
     want = [oracle_identity(make_algebra(p, d, t, alpha, beta)).ok for t in tables]
-    assert mask.tolist() == want
+    assert _identity_mask(tables, p, alpha, beta).tolist() == want
+    assert whole.tolist() == want
     assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, BIG_P])
+@pytest.mark.parametrize("row_block", [1, algebra._ROW_BLOCK])
+def test_identity_mask_matches_the_whole_table_kernel(monkeypatch, p, row_block):
+    # a block of one entry sends every nonempty stack through both stages;
+    # at the default block these stacks are small enough for a single call
+    monkeypatch.setattr(algebra, "_ROW_BLOCK", row_block)
+    rng = random.Random(p)
+    decided_late = 0
+    for d in (0, 1, 2, 3, 4):
+        for count in (0, 1, 7, 64):
+            tables = identity_stack(rng, p, d, count)
+            alpha, beta = 1 + rng.randrange(p - 1), rng.randrange(p)
+            defects = oracle_identity_defects(tables, p, alpha, beta)[0]
+            want = ~defects.any(axis=(1, 2, 3))
+            got = _identity_mask(tables, p, alpha, beta)
+            assert got.dtype == bool and got.shape == (count,)
+            assert got.tolist() == want.tolist()
+            decided_late += int((~defects[:, :1].any(axis=(1, 2, 3)) & ~want).sum())
+            if count == 64 and d > 1:
+                assert want.any() and not want.all()
+            if count <= 7:
+                assert got.tolist() == [
+                    oracle_identity(make_algebra(p, d, t, alpha, beta)).ok for t in tables]
+    # some tables pass row 0 and fail a later row, so at row_block = 1 the
+    # second stage decides them
+    assert decided_late
+
+
+@pytest.mark.parametrize("p", [2, 5, BIG_P])
+def test_identity_row_ranges_slice_the_whole_table(p):
+    rng = random.Random(p)
+    tables = identity_stack(rng, p, 4, 7)
+    whole = oracle_identity_defects(tables, p, 2 % p or 1, 3 % p)
+    for lo, hi in ((0, 1), (1, 4), (0, 4), (2, 3), (3, 4)):
+        part = _identity_defects(tables, p, 2 % p or 1, 3 % p, lo, hi)
+        for got, want in zip(part, whole):
+            assert got.tolist() == want[:, lo:hi].tolist()
+
+
+@pytest.mark.parametrize("p", [3, 5, BIG_P])
+def test_identity_row_blocks_match_the_triple_loop(monkeypatch, p):
+    # 64 entries hold two rows at d = 3 and one at d = 4, so every table splits
+    monkeypatch.setattr(algebra, "_ROW_BLOCK", 64)
+    rng = random.Random(p + 1)
+    cases = identity_cases(p, p) if p < BIG_P else [
+        make_algebra(p, d, random_table(rng, p, d, density=1.0), 3, 5) for d in (3, 4)]
+    for A in cases:
+        assert_same(check_identity_uniform(A), oracle_identity(A))
+    assert any(not check_identity_uniform(A).ok for A in cases)
+
+
+def search_outputs(result):
+    return ([s.index for s in result.survivors],
+            [s.algebra.table.tobytes() for s in result.survivors],
+            [(s.derived_length, s.nilpotency_class) for s in result.survivors],
+            result.summary)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_search_with_the_row_cascade_matches_the_whole_table_mask(monkeypatch, chunk):
+    monkeypatch.setattr(search_mod, "CHUNK", chunk)
+    specs = [
+        search_mod.CorpusSpec(p=2, n=5, component_dims=(0, 1, 1, 1, 1),
+                              selective=search_mod.SelectiveFilter(2, 2, 4)),
+        search_mod.CorpusSpec(p=2, n=5, component_dims=(0, 1, 0, 2, 1)),
+        search_mod.CorpusSpec(p=3, n=3, component_dims=(0, 2, 2), mode="random",
+                              seed=11, samples=3000),
+        search_mod.CorpusSpec(p=7, n=3, component_dims=(0, 1, 2), alpha=1, beta=2,
+                              mode="random", seed=12, samples=3000),
+    ]
+    got = [search_outputs(search_mod.search(spec)) for spec in specs]
+    monkeypatch.setattr(search_mod, "_identity_mask", oracle_identity_mask)
+    want = [search_outputs(search_mod.search(spec)) for spec in specs]
+    assert got == want
+    assert all(indices for indices, *_ in got)
 
 
 @pytest.mark.parametrize("d", [2, 3])
