@@ -26,8 +26,16 @@ from .series import derived_series, lower_central_series
 SEQ_CAP = 6  # desk-scale sequences; rigid's backtracking still branches over the values
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout (or sys.stderr).  Naming the stream
+    keeps click from caching a wrapper per stream object: that cache keeps every
+    stream the CLI ever wrote to alive, with its text, when the CLI runs
+    in-process under redirected or captured output."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -74,10 +82,10 @@ def check(file: str, as_json: bool):
     results = [verify_mod.verify(loaded, name).results[0] for name in ("identity", "grading")]
     code = 1 if any(r.status == verify_mod.Status.VIOLATION for r in results) else 0
     if as_json:
-        click.echo(json.dumps([_result_doc(r) for r in results], indent=2))
+        _echo(json.dumps([_result_doc(r) for r in results], indent=2))
     else:
         for r in results:
-            click.echo(f"{r.check}: {r.status.value} - {r.message}")
+            _echo(f"{r.check}: {r.status.value} - {r.message}")
     sys.exit(code)
 
 
@@ -91,7 +99,7 @@ def series(file: str, kind: str, as_json: bool):
     res = derived_series(loaded.algebra) if kind == "derived" else lower_central_series(loaded.algebra)
     metric = "derived_length" if kind == "derived" else "nilpotency_class"
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "kind": kind,
@@ -104,11 +112,11 @@ def series(file: str, kind: str, as_json: bool):
         )
     else:
         ranks = " > ".join(str(t.rank) for t in res.terms)
-        click.echo(f"term ranks: {ranks}")
+        _echo(f"term ranks: {ranks}")
         if res.length is not None:
-            click.echo(f"{metric}: {res.length}")
+            _echo(f"{metric}: {res.length}")
         else:
-            click.echo(f"{metric}: none (series stabilizes at rank {res.terms[-1].rank})")
+            _echo(f"{metric}: none (series stabilizes at rank {res.terms[-1].rank})")
     sys.exit(0)
 
 
@@ -124,7 +132,7 @@ def grade(file: str, as_json: bool):
     rep = check_grading(A, G)
     nontrivial = sorted(nontrivial_components(A, G))
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "n": G.n,
@@ -138,9 +146,9 @@ def grade(file: str, as_json: bool):
             )
         )
     else:
-        click.echo(f"modulus n = {G.n}; degrees {list(G.degrees)}")
-        click.echo(f"nontrivial components: {nontrivial} (d = {len(nontrivial)})")
-        click.echo(f"grading law: {'ok' if rep.ok else 'VIOLATED'}")
+        _echo(f"modulus n = {G.n}; degrees {list(G.degrees)}")
+        _echo(f"nontrivial components: {nontrivial} (d = {len(nontrivial)})")
+        _echo(f"grading law: {'ok' if rep.ok else 'VIOLATED'}")
     sys.exit(0 if rep.ok else 1)
 
 
@@ -161,11 +169,11 @@ def frobenius_validate(n: int, q: int, r: int, as_json: bool):
     except InputError as exc:
         _fail(2, str(exc))
     if as_json:
-        click.echo(json.dumps({"n": n, "q": q, "r": r, "valid": res.valid, "witness": res.witness}))
+        _echo(json.dumps({"n": n, "q": q, "r": r, "valid": res.valid, "witness": res.witness}))
     elif res.valid:
-        click.echo(f"(n={n}, q={q}, r={r}) is valid")
+        _echo(f"(n={n}, q={q}, r={r}) is valid")
     else:
-        click.echo(f"(n={n}, q={q}, r={r}) is invalid: order of r mod {res.witness} != {q}")
+        _echo(f"(n={n}, q={q}, r={r}) is invalid: order of r mod {res.witness} != {q}")
     sys.exit(0 if res.valid else 1)
 
 
@@ -180,9 +188,9 @@ def frobenius_grade(file: str, as_json: bool):
     report = verify_mod.verify(loaded, "frobenius")
     result = report.results[0]
     if as_json:
-        click.echo(json.dumps(_result_doc(result), indent=2))
+        _echo(json.dumps(_result_doc(result), indent=2))
     else:
-        click.echo(f"frobenius: {result.status.value} - {result.message}")
+        _echo(f"frobenius: {result.status.value} - {result.message}")
     sys.exit(report.exit_code)
 
 
@@ -212,11 +220,11 @@ def rdep_dep(n: int, q: int, r: int, seq: str, as_json: bool):
     except InputError as exc:
         _fail(2, str(exc))
     if as_json:
-        click.echo(json.dumps({"dependent": res.dependent, "witness": res.witness}))
+        _echo(json.dumps({"dependent": res.dependent, "witness": res.witness}))
     elif res.dependent:
-        click.echo(f"dependent  witness exponents {list(res.witness)}")
+        _echo(f"dependent  witness exponents {list(res.witness)}")
     else:
-        click.echo("independent")
+        _echo("independent")
     sys.exit(0)
 
 
@@ -238,10 +246,10 @@ def rdep_dset(n: int, q: int, r: int, prefix: str, as_json: bool):
         _fail(2, str(exc))
     members = sorted(ds.members)
     if as_json:
-        click.echo(json.dumps({"prefix": list(ds.prefix), "members": members, "size": ds.size}))
+        _echo(json.dumps({"prefix": list(ds.prefix), "members": members, "size": ds.size}))
     else:
         shown = ",".join(str(a) for a in ds.prefix)
-        click.echo(f"D({shown}) = {members}  (size {ds.size} <= q^{len(entries) + 1})")
+        _echo(f"D({shown}) = {members}  (size {ds.size} <= q^{len(entries) + 1})")
     sys.exit(0)
 
 
@@ -263,11 +271,11 @@ def rdep_rigid(n: int, q: int, r: int, seq: str, m: int, as_json: bool):
     except InputError as exc:
         _fail(2, str(exc))
     if as_json:
-        click.echo(json.dumps({"found": sub is not None, "subsequence": list(sub) if sub else None}))
+        _echo(json.dumps({"found": sub is not None, "subsequence": list(sub) if sub else None}))
     elif sub is None:
-        click.echo("none")
+        _echo("none")
     else:
-        click.echo(",".join(str(x) for x in sub))
+        _echo(",".join(str(x) for x in sub))
     sys.exit(0)
 
 
@@ -294,9 +302,9 @@ def rewrite_normalize(expr: str, alpha: int, beta: int, p: int, as_json: bool):
             {"word": [a.name for a in word], "coeff": coeff}
             for word, coeff in combo.terms
         ]
-        click.echo(json.dumps({"p": p, "terms": doc}, indent=2))
+        _echo(json.dumps({"p": p, "terms": doc}, indent=2))
     else:
-        click.echo(rewrite.format_combo(combo))
+        _echo(rewrite.format_combo(combo))
     sys.exit(0)
 
 
@@ -325,10 +333,10 @@ def verify_cmd(lemma_id: str, file: str, c: Optional[int], as_json: bool):
     except AlgLabError as exc:
         _fail(2, str(exc))
     if as_json:
-        click.echo(json.dumps([_result_doc(r) for r in report.results], indent=2))
+        _echo(json.dumps([_result_doc(r) for r in report.results], indent=2))
     else:
         for r in report.results:
-            click.echo(f"{r.check}: {r.status.value} - {r.message}")
+            _echo(f"{r.check}: {r.status.value} - {r.message}")
     sys.exit(report.exit_code)
 
 
@@ -349,7 +357,7 @@ def search_cmd(spec_path: str, seed: Optional[int], as_json: bool):
         _fail(2, str(exc))
     summary_docs = [vars(b) for b in result.summary]
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "candidates": result.candidates,
@@ -361,10 +369,10 @@ def search_cmd(spec_path: str, seed: Optional[int], as_json: bool):
         )
     else:
         for doc in search_mod.iter_survivor_documents(result):
-            click.echo(json.dumps(doc, separators=(",", ":")))
-        click.echo(f"candidates: {result.candidates}  survivors: {len(result.survivors)}")
+            _echo(json.dumps(doc, separators=(",", ":")))
+        _echo(f"candidates: {result.candidates}  survivors: {len(result.survivors)}")
         for b in result.summary:
-            click.echo(
+            _echo(
                 f"bucket n={b.n} q={b.q} r={b.r} c={b.c} d={b.d}: "
                 f"count={b.count} max_derived_length={b.max_derived_length} "
                 f"max_nilpotency_class={b.max_nilpotency_class} "

@@ -1,4 +1,8 @@
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -303,3 +307,23 @@ class TestSearch:
         spec.write_text(json.dumps({"p": 5, "n": 2, "component_dims": [0, 1]}))
         result = runner.invoke(main, ["search", "--spec", str(spec)])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, code", [
+    (["check", fixture("heisenberg_f5.json")], 0),
+    (["check", "nope.json"], 2),
+])
+def test_in_process_runs_release_their_output_streams(args, code):
+    """Running the CLI in-process under redirected output keeps no reference
+    to the streams once the run is over, so repeated runs do not pile up
+    their output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=args, prog_name="alglab", standalone_mode=False)
+    assert exc.value.code == code
+    assert (out if code == 0 else err).getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err, exc
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
