@@ -14,7 +14,10 @@ Subtracting the plain sum, the condition says that the offsets
 (r^e_i - 1) * a_i sum to 0 mod n for some exponent tuple that is not all
 zero.  Every predicate here walks the sequence once and keeps the set of such
 offset sums that use a nonzero exponent, so a call costs O(k*q) shifts of a
-set of residues rather than a scan of the q^k exponent tuples.
+set of residues rather than a scan of the q^k exponent tuples.  A call walks
+only the entries after those it shares with the last walk on its triple: the
+sets depend on the sequence alone and each call is charged its whole walk, so
+neither results nor refusals depend on the calls made before.
 
 These predicates drive the component-product checks: in a graded algebra
 whose zero component vanishes, products over r-independent degree tuples are
@@ -40,6 +43,8 @@ from .series import order_threshold
 
 
 def _canonical_entries(nqr: NQRTriple, entries: Sequence[int]) -> tuple[int, ...]:
+    if type(entries) is tuple and entries and all(type(a) is int and 0 < a < nqr.n for a in entries):
+        return entries  # already canonical: nonzero Python ints below n
     out = tuple([a % nqr.n for a in entries])
     if 0 in out:
         raise InputError("index sequences consist of nonzero residues mod n")
@@ -53,16 +58,19 @@ def _canonical_entries(nqr: NQRTriple, entries: Sequence[int]) -> tuple[int, ...
 # are Python sets, whose size stays below q^k however large n is.
 _DENSE_N_CAP = 1 << 20
 _STEP_OFFSETS = 1 << 13  # offsets the cached entries of one triple hold in all
+_NO_MEMBERS = frozenset()  # shared by every empty D-set
 
 
 class _Triple(dict):
     """Constants of one (n, q, r): the twists r^e, for each distinct r^e with
     e >= 1 the data that solves (1 - r^e) j = b (mod n) through
-    gcd(1 - r^e, n), and, as a dict, the offsets of the entries seen so far."""
+    gcd(1 - r^e, n), as a dict the offsets of the entries seen so far, and
+    the last walk: a sequence and the offset sums after each of its prefixes."""
 
     def __init__(self, n: int, q: int, r: int):
         super().__init__()
         self.n, self.q = n, q
+        self.last = ((), (self.empty,))
         self.what = f"r-dependence mod {n} at q = {q}"
         check_work(2 * q, self.what)  # each twist and its inverse: about 2 µs
         self.powers = tuple(pow(r, e, n) for e in range(q))
@@ -111,7 +119,16 @@ class _DenseTriple(_Triple):
 
     @staticmethod
     def elements(s: int) -> list[int]:
-        return [y for y, bit in enumerate(bin(s)[:1:-1]) if bit == "1"]
+        """The set bits, lowest first, in O(n/64 + members) small-int steps."""
+        words = [s] if s >> 64 == 0 else np.frombuffer(
+            s.to_bytes(-(-s.bit_length() // 64) * 8, "little"), "<u8").tolist()
+        out = []
+        for i, w in enumerate(words):
+            while w:
+                low = w & -w
+                out.append(64 * i + low.bit_length() - 1)
+                w ^= low
+        return out
 
 
 class _SparseTriple(_Triple):
@@ -137,14 +154,22 @@ def _constants(n: int, q: int, r: int) -> _Triple:
 
 
 def _reach(c: _Triple, seq: Sequence[int]):
-    """The offset sums of seq that use at least one nonzero exponent, in one
-    pass over seq."""
+    """The offset sums of seq that use at least one nonzero exponent.  Walks
+    only the entries after the run seq shares with c.last (a prefix's sums
+    depend on it alone) but charges all of seq; c.last is replaced whole."""
     check_work(c.work(len(seq)), c.what)
-    reach = c.empty
-    for a in seq:
+    last, reaches = c.last
+    if seq == last[:len(seq)]:
+        return reaches[len(seq)]
+    i = 0
+    while i < len(last) and seq[i] == last[i]:  # seq is no prefix of last: stops inside seq
+        i += 1
+    reaches = list(reaches[:i + 1])
+    for a in seq[i:]:
         offsets, _, start = c[a]
-        reach = c.shift(reach, offsets) | start
-    return reach
+        reaches.append(c.shift(reaches[-1], offsets) | start)
+    c.last = (seq, tuple(reaches))
+    return reaches[-1]
 
 
 def _is_dependent(nqr: NQRTriple, entries: Sequence[int]) -> bool:
@@ -200,7 +225,7 @@ def is_r_independent(nqr: NQRTriple, entries: Sequence[int]) -> bool:
     return not _is_dependent(nqr, entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DSet:
     prefix: tuple[int, ...]
     members: frozenset[int]
@@ -240,7 +265,7 @@ def d_set(nqr: NQRTriple, prefix: Sequence[int]) -> DSet:
             f"|D{seq}| = {len(members)} exceeds q^(k+1) = {q ** (k + 1)} "
             f"for (n,q,r)=({n},{q},{nqr.r})"
         )
-    return DSet(seq, frozenset(members))
+    return DSet(seq, frozenset(members) if members else _NO_MEMBERS)
 
 
 def d_set_work(nqr: NQRTriple, k: int) -> int:

@@ -105,6 +105,10 @@ def test_every_entry_point_charges_the_one_budget(monkeypatch):
         run()
     for check in ("dset-bound", "index-split"):
         assert verify(loaded, check).results[0].status.value == "pass"
+    # the last walks on the triple: each repeat below must still be charged (d_set's own
+    # charge for its pairs would refuse [1] anyway; the dependence test has no other)
+    d_set(nqr, [1])
+    is_r_dependent(nqr, [1, 2])
 
     monkeypatch.setattr(errors, "WORK_BUDGET", 2)
     for (what, steps), run in entry_points.items():
@@ -133,6 +137,16 @@ def test_index_split_on_a_large_modulus_is_skipped_within_a_second(tmp_path):
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == code
         assert message in result.output
+
+
+def test_a_d_set_over_half_the_residues_answers_within_seconds():
+    # r = -1 mod 2^20 - 1 and the entries 2^i: 19 of them fit the budget, and
+    # their 2^19 - 1 offset sums are listed one 64-bit word at a time
+    n = (1 << 20) - 1
+    start = time.perf_counter()
+    ds = d_set(NQRTriple(n, 2, n - 1), [1 << i for i in range(19)])
+    assert time.perf_counter() - start < 5.0
+    assert ds.size == (1 << 19) - 1
 
 
 def test_random_chunks_keep_the_identity_block_in_budget(monkeypatch):

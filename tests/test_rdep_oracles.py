@@ -6,11 +6,17 @@ walked all q^k exponent tuples in lexicographic order, and `d_set` built the
 twisted prefix sums of every exponent tuple as numpy arrays and tested every j
 against them.  They share no code with the reachable sets, so they check the
 predicate, the witness (the first tuple in lexicographic order), the D-sets
-and the errors raised, on valid and invalid (n, q, r) alike.
+and the errors raised, on valid and invalid (n, q, r) alike.  The call-order
+tests check that reusing the last walk on a triple changes nothing: in any
+order and from several threads, every result equals the one from an empty
+cache.
 """
 
 import itertools
 import random
+import sys
+import threading
+import tracemalloc
 from math import gcd
 from itertools import product as iproduct
 
@@ -116,6 +122,11 @@ def oracle_rigid_subsequence(nqr, entries, m):
     return tuple(chosen) if extend(1) else None
 
 
+def oracle_elements(s):
+    """The members of a bit-mask set by a scan of all of its binary digits."""
+    return [y for y, bit in enumerate(bin(s)[:1:-1]) if bit == "1"]
+
+
 def oracle_element_of_order(p, n):
     """Upward scan, each order by repeated multiplication."""
     if (p - 1) % n != 0:
@@ -147,6 +158,8 @@ def assert_agree(nqr, seq):
     got = outcome(d_set, nqr, seq)
     want = outcome(oracle_d_set, nqr, seq)
     assert got == want, (nqr, seq)
+    if isinstance(want, DSet):  # members may list in another order, the prefix may not
+        assert repr(got.prefix) == repr(want.prefix), (nqr, seq)
 
 
 def sequences(n, rng, full_below=8, per_length=6):
@@ -213,15 +226,52 @@ def test_numpy_entries_match_the_scans():
         for _ in range(40):
             seq = np.array([rng.randrange(1, n) for _ in range(rng.randrange(1, 4))])
             assert_agree(nqr, seq)
+            assert_agree(nqr, tuple(seq))  # numpy ints in a tuple are not canonical either
 
 
 def test_errors_match_the_scans():
     nqr = NQRTriple(7, 3, 2)
-    for seq in ([], [0], [1, 7], [3, 14, 2]):
+    for seq in ([], [0], [1, 7], [3, 14, 2], (0,), (True, False), ()):
         for f, oracle in ((is_r_dependent, oracle_is_r_dependent), (d_set, oracle_d_set)):
             got, want = outcome(f, nqr, seq), outcome(oracle, nqr, seq)
             assert got == want and got[0] is InputError
     assert outcome(d_set, nqr, [1, 2]) == (InputError, "d_set needs an r-independent prefix")
+    # accepted entries that are not already canonical keep the prefix the scan builds
+    for seq in ([1], (8,), (-6,), (True,), [True, 3], (1, np.int64(3)), (15, 1)):
+        got, want = d_set(nqr, seq), oracle_d_set(nqr, seq)
+        assert got == want and repr(got.prefix) == repr(want.prefix), seq
+    assert repr(d_set(nqr, (True,)).prefix) == "(1,)"
+    assert repr(d_set(nqr, [np.int64(8)]).prefix) == "(np.int64(1),)"
+
+
+def test_d_sets_are_lean_and_compare_as_before():
+    ds = d_set(NQRTriple(7, 3, 2), [1])
+    assert not hasattr(ds, "__dict__")
+    assert repr(ds) == "DSet(prefix=(1,), members=frozenset({2, 4, 6}))"
+    assert ds == DSet((1,), frozenset({2, 4, 6})) and ds.size == 3
+    assert hash(ds) == hash(((1,), frozenset({2, 4, 6})))
+    empty = d_set(NQRTriple(7, 1, 1), [3])
+    assert repr(empty) == "DSet(prefix=(3,), members=frozenset())"
+    assert empty == DSet((3,), frozenset()) and empty.size == 0
+    assert hash(empty) == hash(((3,), frozenset()))
+
+
+def test_empty_d_sets_take_under_100_bytes_each():
+    nqr = NQRTriple(32, 1, 1)  # q = 1: no twist, so every D-set is empty
+    prefixes = [p for k in (1, 2, 3)
+                for p in itertools.combinations_with_replacement(range(1, 32), k)]
+    assert len(prefixes) == 5983
+    for prefix in prefixes:  # constants and cached entries are set up before measuring
+        d_set(nqr, prefix)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dsets = [d_set(nqr, prefix) for prefix in prefixes]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(ds.size == 0 and ds.prefix is prefix for ds, prefix in zip(dsets, prefixes))
+    assert used / len(prefixes) < 100, used / len(prefixes)
 
 
 def test_d_set_bound_violation_on_an_invalid_triple():
@@ -229,6 +279,110 @@ def test_d_set_bound_violation_on_an_invalid_triple():
     nqr = NQRTriple(12, 2, 5)
     got, want = outcome(d_set, nqr, [1]), outcome(oracle_d_set, nqr, [1])
     assert got == want and got[0] is InternalInvariantError
+
+
+def test_bit_mask_members_match_the_digit_scan():
+    rng = random.Random(0xB175)
+    top = 1 << 20
+    masks = [0, 1, 1 << (top - 1), (1 << 64) - 1, 1 << 64, (1 << 128) - 1, (1 << top) - 1]
+    for bits in (2, 31, 63, 64, 65, 127, 128, 129, 1000, 4097, top):
+        masks.append(rng.getrandbits(bits))  # about half the bits set
+        masks.append(sum(1 << rng.randrange(bits) for _ in range(8)) | 1 << (bits - 1))
+    for s in masks:
+        assert rdep._DenseTriple.elements(s) == oracle_elements(s)
+
+
+# -- call order: each triple keeps its last walk ----------------------------------
+
+FUNCS = (is_r_dependent, is_r_independent, d_set)
+
+
+def valid_triples(max_n):
+    for n in range(2, max_n + 1):
+        for r in range(1, n):
+            q = multiplicative_order(r, n)
+            if q is not None and validate_nqr(n, q, r).valid:
+                yield NQRTriple(n, q, r)
+
+
+def cold(f, *args):
+    """f's outcome and its repr, from an empty cache: no earlier walk to reuse."""
+    rdep._constants.cache_clear()
+    got = outcome(f, *args)
+    return got, repr(got)
+
+
+def cold_results(nqr):
+    """Each function on every sequence of length <= 3, each from an empty cache."""
+    seqs = [seq for k in (1, 2, 3) for seq in itertools.product(range(1, nqr.n), repeat=k)]
+    return {seq: {f: cold(f, nqr, seq) for f in FUNCS} for seq in seqs}
+
+
+def assert_cold(want, f, *args):
+    got = outcome(f, *args)
+    assert (got, repr(got)) == want, (f.__name__, args)
+
+
+def test_call_order_does_not_change_results():
+    """Every valid triple with n <= 16 and every sequence of length <= 3, in
+    lexicographic and reversed order, interleaved with a second triple, and
+    shuffled with the functions in random order and rigid searches between
+    them, against the cold-cache results."""
+    triples = list(valid_triples(16))
+    assert len(triples) == 46
+    for pair in zip(triples[0::2], triples[1::2]):
+        results = {nqr: cold_results(nqr) for nqr in pair}
+        for nqr in pair:
+            want, rng = results[nqr], random.Random(repr(nqr))
+            lex = sorted(want)
+            for order in (lex, lex[::-1]):
+                rdep._constants.cache_clear()
+                for seq in order:
+                    for f in FUNCS:
+                        assert_cold(want[seq][f], f, nqr, seq)
+            for seq in rng.sample(lex, len(lex)):
+                for f in rng.sample(FUNCS, len(FUNCS)):
+                    assert_cold(want[seq][f], f, nqr, seq)
+                if rng.random() < 0.1:
+                    entries, m = rng.choice(lex) + seq, rng.randrange(1, 4)
+                    rigid = cold(rigid_subsequence, nqr, entries, m)
+                    assert_cold(rigid, rigid_subsequence, nqr, entries, m)
+                    assert_cold(want[seq][d_set], d_set, nqr, seq)
+        rdep._constants.cache_clear()
+        for seqs in itertools.zip_longest(*(sorted(results[nqr]) for nqr in pair)):
+            for nqr, seq in zip(pair, seqs):
+                for f in FUNCS if seq else ():
+                    assert_cold(results[nqr][seq][f], f, nqr, seq)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_threads_sharing_a_triple_match_the_sequential_results(threads):
+    nqr = NQRTriple(31, 5, 2)
+    seqs = [(a,) for a in range(1, 31)] + sorted(itertools.product(range(1, 31), repeat=2))
+    seqs += sorted(random.Random(31).sample(list(itertools.product(range(1, 31), repeat=3)), 600))
+    rdep._constants.cache_clear()
+    want = {seq: [outcome(f, nqr, seq) for f in FUNCS] for seq in seqs}
+    got = [{} for _ in range(threads)]
+    start = threading.Barrier(threads)
+
+    def run(i):
+        start.wait(timeout=60)
+        for seq in seqs[i::threads]:  # interleaved prefixes: neighbours share entries
+            got[i][seq] = [outcome(f, nqr, seq) for f in FUNCS]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rdep._constants.cache_clear()
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert {seq: res for part in got for seq, res in part.items()} == want
 
 
 def test_rigid_subsequences_match_the_scan():
