@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import InputError
+from .errors import WORK_BUDGET, InputError, check_work
 from .linalg import Subspace
 from .modular import check_prime
 
@@ -183,14 +183,23 @@ def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int) -> np.ndar
     rows 1..d-1 only on the tables that pass it: random tables almost all
     fail on row 0, so most of the stack never pays for the full contraction.
     A stack whose whole block fits in _ROW_BLOCK entries takes one call, as
-    a second call would cost more than the rows it saves."""
+    a second call would cost more than the rows it saves.  The later rows are
+    charged to the work budget and go in row blocks of about WORK_BUDGET entries."""
     B, d = tables.shape[:2]
     split = 1 if B * d**4 > _ROW_BLOCK else d
     keep = ~_identity_defects(tables, p, alpha, beta, 0, split)[0].any(axis=(1, 2, 3))
     index = np.flatnonzero(keep)
     if index.size and split < d:
-        rest = _identity_defects(tables[index], p, alpha, beta, split)[0]
-        keep[index] = ~rest.any(axis=(1, 2, 3))
+        # about d^5 multiply-adds a table; int64 matmul does a few hundred a 1 µs step
+        check_work(index.size * d**5 // 256,
+                   f"the identity on rows 1..{d - 1} of {index.size} table(s) of dim {d}")
+        step = max(1, WORK_BUDGET // (index.size * d**3))
+        for lo in range(split, d, step):
+            rest = _identity_defects(tables[index], p, alpha, beta, lo, lo + step)[0]
+            keep[index] = ~rest.any(axis=(1, 2, 3))
+            index = index[keep[index]]
+            if not index.size:
+                break
     return keep
 
 

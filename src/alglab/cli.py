@@ -4,11 +4,14 @@ Exit codes follow one contract everywhere: 0 = success / all checks pass,
 1 = a genuine violation of a certified statement, 2 = input or hypothesis
 error.  Query verbs (rdep, rewrite, frobenius validate) exit 0 when the
 query itself succeeds; frobenius validate exits 1 on an invalid triple so
-scripts can use it as a predicate.
+scripts can use it as a predicate.  Command bodies raise; the root group's
+invoke alone maps what they raise to an exit code (verify.verify does the
+same for each check it runs).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -17,8 +20,8 @@ from typing import Optional
 import click
 
 from . import formats, rewrite, search as search_mod, verify as verify_mod
-from .errors import AlgLabError, InputError
-from .frobenius import NQRTriple, validate_nqr
+from .errors import AlgLabError, InputError, InternalInvariantError
+from .frobenius import NQRTriple, checked_triple, validate_nqr
 from .grading import check_grading, nontrivial_components
 from .rdep import d_set, is_r_dependent, rigid_subsequence
 from .series import derived_series, lower_central_series
@@ -39,36 +42,40 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load(path: str) -> formats.LoadedAlgebra:
+def _read(load, path: str):
+    """load(path), naming a missing file as it was typed (the filename of a
+    FileNotFoundError drops a leading ./)."""
     try:
-        return formats.load(path)
+        return load(path)
     except FileNotFoundError:
-        _fail(2, f"no such file: {path}")
-    except AlgLabError as exc:
-        _fail(2, str(exc))
+        raise InputError(f"no such file: {path}") from None
 
 
 def _parse_seq(raw: str) -> list[int]:
     try:
         entries = [int(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
-        _fail(2, f"could not parse integer list {raw!r}")
+        raise InputError(f"could not parse integer list {raw!r}") from None
     if not entries:
-        _fail(2, "empty sequence")
+        raise InputError("empty sequence")
     return entries
 
 
-def _triple(n: int, q: int, r: int) -> NQRTriple:
-    try:
-        res = validate_nqr(n, q, r)
-    except InputError as exc:
-        _fail(2, str(exc))
-    if not res.valid:
-        _fail(2, f"(n={n}, q={q}, r={r}) fails the order condition at divisor {res.witness}")
-    return NQRTriple(n, q, r)
+class _Main(click.Group):
+    """Exit 1 on a failed certified bound, 2 on any other AlgLabError or unreadable input."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InternalInvariantError as exc:
+            _fail(1, str(exc))
+        except BrokenPipeError:  # stdout closed early: click's own handling applies
+            raise
+        except (AlgLabError, OSError, UnicodeDecodeError) as exc:
+            _fail(2, str(exc))
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact toolkit for graded Lie-type algebras over prime fields."""
 
@@ -78,15 +85,10 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def check(file: str, as_json: bool):
     """Validate FILE and certify its product identity (and grading if present)."""
-    loaded = _load(file)
+    loaded = _read(formats.load, file)
     results = [verify_mod.verify(loaded, name).results[0] for name in ("identity", "grading")]
-    code = 1 if any(r.status == verify_mod.Status.VIOLATION for r in results) else 0
-    if as_json:
-        _echo(json.dumps([_result_doc(r) for r in results], indent=2))
-    else:
-        for r in results:
-            _echo(f"{r.check}: {r.status.value} - {r.message}")
-    sys.exit(code)
+    _echo_results(results, as_json)
+    sys.exit(1 if any(r.status == verify_mod.Status.VIOLATION for r in results) else 0)
 
 
 @main.command()
@@ -95,7 +97,7 @@ def check(file: str, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def series(file: str, kind: str, as_json: bool):
     """Print the derived or lower central series of FILE."""
-    loaded = _load(file)
+    loaded = _read(formats.load, file)
     res = derived_series(loaded.algebra) if kind == "derived" else lower_central_series(loaded.algebra)
     metric = "derived_length" if kind == "derived" else "nilpotency_class"
     if as_json:
@@ -125,9 +127,9 @@ def series(file: str, kind: str, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def grade(file: str, as_json: bool):
     """Report the grading of FILE: components, d, and the grading law check."""
-    loaded = _load(file)
+    loaded = _read(formats.load, file)
     if loaded.grading is None:
-        _fail(2, "file has no grading block")
+        raise InputError("file has no grading block")
     A, G = loaded.algebra, loaded.grading
     rep = check_grading(A, G)
     nontrivial = sorted(nontrivial_components(A, G))
@@ -164,10 +166,7 @@ def frobenius():
 @click.option("--json", "as_json", is_flag=True)
 def frobenius_validate(n: int, q: int, r: int, as_json: bool):
     """Check the multiplicative-order condition on (n, q, r)."""
-    try:
-        res = validate_nqr(n, q, r)
-    except InputError as exc:
-        _fail(2, str(exc))
+    res = validate_nqr(n, q, r)
     if as_json:
         _echo(json.dumps({"n": n, "q": q, "r": r, "valid": res.valid, "witness": res.witness}))
     elif res.valid:
@@ -182,13 +181,13 @@ def frobenius_validate(n: int, q: int, r: int, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def frobenius_grade(file: str, as_json: bool):
     """Compute the eigenspace grading of FILE's phi and check the h-permutation."""
-    loaded = _load(file)
+    loaded = _read(formats.load, file)
     if loaded.action is None:
-        _fail(2, "file has no action block")
+        raise InputError("file has no action block")
     report = verify_mod.verify(loaded, "frobenius")
     result = report.results[0]
     if as_json:
-        _echo(json.dumps(_result_doc(result), indent=2))
+        _echo(json.dumps(vars(result), indent=2))
     else:
         _echo(f"frobenius: {result.status.value} - {result.message}")
     sys.exit(report.exit_code)
@@ -201,24 +200,30 @@ def rdep():
 
 def _cap_len(entries: list[int], what: str):
     if len(entries) > SEQ_CAP:
-        _fail(2, f"{what} longer than {SEQ_CAP} entries is not accepted on the CLI")
+        raise InputError(f"{what} longer than {SEQ_CAP} entries is not accepted on the CLI")
+
+
+def _triple_options(command):
+    """--n/--q/--r, passed to command as one NQRTriple that passes the order
+    condition."""
+    @click.option("--n", type=int, required=True)
+    @click.option("--q", type=int, required=True)
+    @click.option("--r", type=int, required=True)
+    @functools.wraps(command)
+    def with_triple(n: int, q: int, r: int, **kwargs):
+        return command(checked_triple(n, q, r), **kwargs)
+    return with_triple
 
 
 @rdep.command("dep")
-@click.option("--n", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--r", type=int, required=True)
+@_triple_options
 @click.option("--seq", type=str, required=True, help="comma-separated nonzero residues")
 @click.option("--json", "as_json", is_flag=True)
-def rdep_dep(n: int, q: int, r: int, seq: str, as_json: bool):
+def rdep_dep(nqr: NQRTriple, seq: str, as_json: bool):
     """Decide whether SEQ is r-dependent; prints the first witness if so."""
-    nqr = _triple(n, q, r)
     entries = _parse_seq(seq)
     _cap_len(entries, "sequence")
-    try:
-        res = is_r_dependent(nqr, entries)
-    except InputError as exc:
-        _fail(2, str(exc))
+    res = is_r_dependent(nqr, entries)
     if as_json:
         _echo(json.dumps({"dependent": res.dependent, "witness": res.witness}))
     elif res.dependent:
@@ -229,21 +234,15 @@ def rdep_dep(n: int, q: int, r: int, seq: str, as_json: bool):
 
 
 @rdep.command("dset")
-@click.option("--n", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--r", type=int, required=True)
+@_triple_options
 @click.option("--prefix", type=str, required=True)
 @click.option("--json", "as_json", is_flag=True)
-def rdep_dset(n: int, q: int, r: int, prefix: str, as_json: bool):
+def rdep_dset(nqr: NQRTriple, prefix: str, as_json: bool):
     """Members of the dependence set of PREFIX (all j completing it to a
     dependent sequence)."""
-    nqr = _triple(n, q, r)
     entries = _parse_seq(prefix)
     _cap_len(entries, "prefix")
-    try:
-        ds = d_set(nqr, entries)
-    except InputError as exc:
-        _fail(2, str(exc))
+    ds = d_set(nqr, entries)
     members = sorted(ds.members)
     if as_json:
         _echo(json.dumps({"prefix": list(ds.prefix), "members": members, "size": ds.size}))
@@ -254,22 +253,16 @@ def rdep_dset(n: int, q: int, r: int, prefix: str, as_json: bool):
 
 
 @rdep.command("rigid")
-@click.option("--n", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--r", type=int, required=True)
+@_triple_options
 @click.option("--seq", type=str, required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
-def rdep_rigid(n: int, q: int, r: int, seq: str, m: int, as_json: bool):
+def rdep_rigid(nqr: NQRTriple, seq: str, m: int, as_json: bool):
     """Find an independent subsequence of length M containing the first entry."""
-    nqr = _triple(n, q, r)
     entries = _parse_seq(seq)
     if m > SEQ_CAP:
-        _fail(2, f"m larger than {SEQ_CAP} is not accepted on the CLI")
-    try:
-        sub = rigid_subsequence(nqr, entries, m)
-    except InputError as exc:
-        _fail(2, str(exc))
+        raise InputError(f"m larger than {SEQ_CAP} is not accepted on the CLI")
+    sub = rigid_subsequence(nqr, entries, m)
     if as_json:
         _echo(json.dumps({"found": sub is not None, "subsequence": list(sub) if sub else None}))
     elif sub is None:
@@ -292,11 +285,7 @@ def rewrite_group():
 @click.option("--json", "as_json", is_flag=True)
 def rewrite_normalize(expr: str, alpha: int, beta: int, p: int, as_json: bool):
     """Left-normalize EXPR into a combination of simple products."""
-    try:
-        term = rewrite.parse(expr)
-        combo = rewrite.normalize(term, alpha, beta, p)
-    except AlgLabError as exc:
-        _fail(2, str(exc))
+    combo = rewrite.normalize(rewrite.parse(expr), alpha, beta, p)
     if as_json:
         doc = [
             {"word": [a.name for a in word], "coeff": coeff}
@@ -308,13 +297,12 @@ def rewrite_normalize(expr: str, alpha: int, beta: int, p: int, as_json: bool):
     sys.exit(0)
 
 
-def _result_doc(r: verify_mod.CheckResult) -> dict:
-    return {
-        "check": r.check,
-        "status": r.status.value,
-        "message": r.message,
-        "details": r.details,
-    }
+def _echo_results(results, as_json: bool) -> None:
+    if as_json:
+        _echo(json.dumps([vars(r) for r in results], indent=2))
+    else:
+        for r in results:
+            _echo(f"{r.check}: {r.status.value} - {r.message}")
 
 
 @main.command(name="verify")
@@ -327,16 +315,8 @@ def verify_cmd(lemma_id: str, file: str, c: Optional[int], as_json: bool):
 
     Exit 0: pass.  Exit 1: genuine violation.  Exit 2: input/hypothesis error.
     """
-    loaded = _load(file)
-    try:
-        report = verify_mod.verify(loaded, lemma_id, c)
-    except AlgLabError as exc:
-        _fail(2, str(exc))
-    if as_json:
-        _echo(json.dumps([_result_doc(r) for r in report.results], indent=2))
-    else:
-        for r in report.results:
-            _echo(f"{r.check}: {r.status.value} - {r.message}")
+    report = verify_mod.verify(_read(formats.load, file), lemma_id, c)
+    _echo_results(report.results, as_json)
     sys.exit(report.exit_code)
 
 
@@ -346,15 +326,10 @@ def verify_cmd(lemma_id: str, file: str, c: Optional[int], as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def search_cmd(spec_path: str, seed: Optional[int], as_json: bool):
     """Enumerate or sample graded tables per SPEC and report survivors."""
-    try:
-        spec = search_mod.load_spec(spec_path)
-        if seed is not None:
-            spec = search_mod.validate_spec(replace(spec, seed=seed))
-        result = search_mod.search(spec)
-    except FileNotFoundError:
-        _fail(2, f"no such file: {spec_path}")
-    except AlgLabError as exc:
-        _fail(2, str(exc))
+    spec = _read(search_mod.load_spec, spec_path)
+    if seed is not None:
+        spec = search_mod.validate_spec(replace(spec, seed=seed))
+    result = search_mod.search(spec)
     summary_docs = [vars(b) for b in result.summary]
     if as_json:
         _echo(

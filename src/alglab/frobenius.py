@@ -10,6 +10,7 @@ omega^{r*i}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     DiagonalizationError,
     InputError,
     UnsupportedFieldError,
+    check_work,
 )
 from .grading import Grading, check_grading, component
 from .linalg import Subspace
@@ -50,14 +52,27 @@ class NQRResult:
 def validate_nqr(n: int, q: int, r: int) -> NQRResult:
     """Check that r has multiplicative order exactly q modulo every divisor
     d > 1 of n.  The divisor d = 1 is vacuous.  On failure the witnessing
-    divisor is returned."""
+    divisor is returned.  The trial divisions are charged as they go: up to
+    sqrt(n) to list the divisors, then up to sqrt(d) each to factor d and
+    phi(d) for the order mod d."""
     NQRTriple(n, q, r)  # range validation
-    for d in divisors(n):
-        if d == 1:
-            continue
+    what = f"the order condition on the divisors of {n}"
+    spent = isqrt(n)
+    check_work(spent, what)
+    for d in divisors(n)[1:]:
+        spent += 2 * isqrt(d)
+        check_work(spent, what)
         if multiplicative_order(r, d) != q:
             return NQRResult(False, d)
     return NQRResult(True, None)
+
+
+def checked_triple(n: int, q: int, r: int) -> NQRTriple:
+    """(n, q, r) as an NQRTriple; InputError unless it passes validate_nqr."""
+    res = validate_nqr(n, q, r)
+    if not res.valid:
+        raise InputError(f"(n={n}, q={q}, r={r}) fails the order condition at divisor {res.witness}")
+    return NQRTriple(n, q, r)
 
 
 @dataclass(frozen=True)
@@ -145,9 +160,7 @@ def frobenius_data(A: Algebra, n: int, q: int, r: int, phi, h) -> FrobeniusData:
     supports an order-n root of unity (n | p-1, which also forces p to not
     divide n).
     """
-    res = validate_nqr(n, q, r)
-    if not res.valid:
-        raise InputError(f"(n={n}, q={q}, r={r}) fails the order condition at divisor {res.witness}")
+    triple = checked_triple(n, q, r)
     if (A.p - 1) % n != 0:
         raise UnsupportedFieldError(f"n={n} does not divide p-1={A.p - 1}")
     phi = linalg.as_mat(phi, A.p)
@@ -163,7 +176,7 @@ def frobenius_data(A: Algebra, n: int, q: int, r: int, phi, h) -> FrobeniusData:
     rhs = linalg.mat_pow(phi, r, A.p)
     if not np.array_equal(lhs, rhs):
         raise InputError("conjugation law h^-1 phi h = phi^r fails")
-    return FrobeniusData(NQRTriple(n, q, r), phi.copy(), h.copy())
+    return FrobeniusData(triple, phi.copy(), h.copy())
 
 
 @dataclass(frozen=True)

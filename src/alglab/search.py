@@ -353,34 +353,27 @@ def search(spec: CorpusSpec) -> SearchResult:
     else:
         chunks = [run(se) for se in ranges]
     survivors = [s for chunk in chunks for s in chunk]
-    return SearchResult(spec, total, tuple(survivors), tuple(_summarize(spec, survivors)))
+    return SearchResult(spec, total, tuple(survivors), _summarize(spec, survivors))
 
 
-def _summarize(spec: CorpusSpec, survivors) -> list[BucketSummary]:
-    buckets: dict[tuple, list[Survivor]] = {}
-    q = spec.selective.q if spec.selective else None
-    r = spec.selective.r if spec.selective else None
-    c = spec.selective.c if spec.selective else None
-    for s in survivors:
-        buckets.setdefault((spec.n, q, r, c, s.d), []).append(s)
-    out = []
-    for key in sorted(buckets, key=str):
-        group = buckets[key]
-        dls = [s.derived_length for s in group]
-        ncs = [s.nilpotency_class for s in group]
-        finite_dl = [x for x in dls if x is not None]
-        finite_nc = [x for x in ncs if x is not None]
-        out.append(
-            BucketSummary(
-                n=key[0], q=key[1], r=key[2], c=key[3], d=key[4],
-                count=len(group),
-                max_derived_length=max(finite_dl) if finite_dl else None,
-                max_nilpotency_class=max(finite_nc) if finite_nc else None,
-                nonsolvable=sum(1 for x in dls if x is None),
-                nonnilpotent=sum(1 for x in ncs if x is None),
-            )
-        )
-    return out
+def _summarize(spec: CorpusSpec, survivors) -> tuple[BucketSummary, ...]:
+    """The one bucket of a search's survivors, which share n, (q, r, c) and d,
+    or none when there are no survivors."""
+    if not survivors:
+        return ()
+    sel = spec.selective
+    dls = [s.derived_length for s in survivors]
+    ncs = [s.nilpotency_class for s in survivors]
+    finite_dl = [x for x in dls if x is not None]
+    finite_nc = [x for x in ncs if x is not None]
+    return (BucketSummary(
+        n=spec.n, q=sel and sel.q, r=sel and sel.r, c=sel and sel.c, d=survivors[0].d,
+        count=len(survivors),
+        max_derived_length=max(finite_dl) if finite_dl else None,
+        max_nilpotency_class=max(finite_nc) if finite_nc else None,
+        nonsolvable=len(dls) - len(finite_dl),
+        nonnilpotent=len(ncs) - len(finite_nc),
+    ),)
 
 
 def iter_survivor_documents(result: SearchResult) -> Iterator[dict]:

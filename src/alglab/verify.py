@@ -5,8 +5,10 @@ counterexample to a statement the toolkit certifies; never expected on
 sound inputs), 2 = input or hypothesis error (missing blocks, falsified
 hypotheses).  Under "all", checks whose blocks are absent or whose
 hypotheses fail are reported as skipped and do not affect the exit code;
-requesting such a check explicitly yields exit 2.  The checks of one call
-share one computation of each report (identity, grading, both series).
+requesting such a check explicitly yields exit 2.  A certified bound that
+fails inside a check (InternalInvariantError) is that check's violation, so
+under "all" the other checks still report.  The checks of one call share one
+computation of each report (identity, grading, both series).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from . import rdep
 from .algebra import check_identity_uniform
-from .errors import AlgLabError, HypothesisError, InputError, check_work
+from .errors import AlgLabError, HypothesisError, InputError, InternalInvariantError, check_work
 from .formats import LoadedAlgebra
 from .frobenius import _untwisted_components, eigen_grading
 from .grading import check_grading, component_count, nontrivial_components
@@ -287,5 +289,10 @@ def verify(loaded: LoadedAlgebra, lemma_id: str, c: Optional[int] = None) -> Ver
             f"{', '.join(ALL_CHECKS)} or 'all'"
         )
     facts = _Facts(loaded)
-    names = ALL_CHECKS if lemma_id == "all" else (lemma_id,)
-    return VerifyReport(tuple(_CHECKS[name](facts, c) for name in names), lemma_id)
+    results = []
+    for name in ALL_CHECKS if lemma_id == "all" else (lemma_id,):
+        try:
+            results.append(_CHECKS[name](facts, c))
+        except InternalInvariantError as exc:
+            results.append(CheckResult(name, Status.VIOLATION, str(exc)))
+    return VerifyReport(tuple(results), lemma_id)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alglab import make_algebra
+from alglab.modular import element_of_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -40,6 +41,18 @@ def mat2x2(p=2):
         if b == c:
             T[idx[(a, b)], idx[(c, d)], idx[(a, d)]] = 1
     return make_algebra(p, 4, T, 1, 0)
+
+
+def sweep_action_doc():
+    """A zero algebra on L_1 + L_6 graded mod 7 over F_29, with phi = diag(w, w^6)
+    and h swapping them: (7, 2, 6) leaves one D-set length to sweep."""
+    w = element_of_order(29, 7)
+    return {
+        "p": 29, "dim": 2, "alpha": 1, "beta": 1, "table": [],
+        "grading": {"n": 7, "degrees": [1, 6]},
+        "action": {"n": 7, "q": 2, "r": 6, "phi": [[w, 0], [0, pow(w, 6, 29)]],
+                   "h": [[0, 1], [1, 0]]},
+    }
 
 
 def abelian(p, dim):

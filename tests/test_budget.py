@@ -13,7 +13,6 @@ from alglab import Grading, make_algebra
 from alglab.cli import main
 from alglab.formats import loads
 from alglab.frobenius import NQRTriple
-from alglab.modular import element_of_order
 from alglab.rdep import (
     d_set,
     index_split_check,
@@ -24,6 +23,7 @@ from alglab.rdep import (
 from alglab.rewrite import normalize, parse
 from alglab.search import CorpusSpec, search
 from alglab.verify import verify
+from conftest import sweep_action_doc
 
 
 def _right_nested(k):
@@ -49,6 +49,15 @@ HANGING = {
                                               "samples": 1000000}],
     "rigid-q-1024": ["rdep", "rigid", "--n", "12289", "--q", "1024", "--r", "49",
                      "--seq", ",".join(map(str, range(1, 6000))), "--m", "2"],
+    # trial division up to sqrt(n) = 10^9 to list the divisors
+    "validate-n-10^18": ["frobenius", "validate", "--n", "1000000000000000003",
+                         "--q", "2", "--r", "3"],
+    "dep-n-10^18": ["rdep", "dep", "--n", "1000000000000000003", "--q", "2", "--r", "3",
+                    "--seq", "1"],
+    # no admissible slots, so no draws: the zero table passes row 0, and the
+    # other 79 rows of the identity are some 80^5 multiply-adds
+    "search-dim-80": ["search", "--spec", {"p": 5, "n": 3, "component_dims": [0, 0, 80],
+                                           "mode": "random", "seed": 1, "samples": 1}],
 }
 
 
@@ -68,23 +77,11 @@ def test_unbounded_inputs_exit_2_within_a_second(name, tmp_path):
     assert f"steps, budget {errors.WORK_BUDGET:,}\n" in result.output
 
 
-def _action_file():
-    """A zero algebra on L_1 + L_6 graded mod 7, with phi = diag(w, w^6) and
-    h swapping them: (7, 2, 6) leaves one D-set length to sweep."""
-    w = element_of_order(29, 7)
-    return loads(json.dumps({
-        "p": 29, "dim": 2, "alpha": 1, "beta": 1, "table": [],
-        "grading": {"n": 7, "degrees": [1, 6]},
-        "action": {"n": 7, "q": 2, "r": 6, "phi": [[w, 0], [0, pow(w, 6, 29)]],
-                   "h": [[0, 1], [1, 0]]},
-    }))
-
-
 def test_every_entry_point_charges_the_one_budget(monkeypatch):
     nqr = NQRTriple(31, 5, 2)
     A = make_algebra(7, 2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
     G = Grading(31, (1, 2))
-    loaded = _action_file()
+    loaded = loads(json.dumps(sweep_action_doc()))
     # (what each one charges, its estimate): a one-entry dependence test costs 2
     entry_points = {
         ("r-dependence mod 31 at q = 5", 4): lambda: is_r_dependent(nqr, [1, 2]),

@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from alglab.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, sweep_action_doc
 
 
 @pytest.fixture
@@ -307,6 +308,87 @@ class TestSearch:
         spec.write_text(json.dumps({"p": 5, "n": 2, "component_dims": [0, 1]}))
         result = runner.invoke(main, ["search", "--spec", str(spec)])
         assert result.exit_code == 2
+
+
+def _raise_invariant(*args, **kwargs):
+    from alglab.errors import InternalInvariantError
+
+    raise InternalInvariantError("bound failed on purpose")
+
+
+@pytest.fixture
+def action_file(tmp_path):
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(sweep_action_doc()))
+    return str(path)
+
+
+class TestExitContract:
+    """A failed certified bound exits 1 from every verb; unreadable input exits 2."""
+
+    def test_a_failed_bound_is_a_violation_line_under_verify(self, runner, monkeypatch,
+                                                             action_file):
+        import alglab.verify
+
+        assert runner.invoke(main, ["verify", "dset-bound", action_file]).exit_code == 0
+        monkeypatch.setattr(alglab.verify, "d_set", _raise_invariant)
+        line = "dset-bound: violation - bound failed on purpose\n"
+        result = runner.invoke(main, ["verify", "dset-bound", action_file])
+        assert result.exit_code == 1
+        assert result.output == line
+        result = runner.invoke(main, ["verify", "all", action_file])
+        assert result.exit_code == 1
+        assert line in result.output
+        assert [ln.split(":")[0] for ln in result.output.splitlines()] == list(
+            alglab.verify.ALL_CHECKS)
+
+    def test_a_failed_selective_bound_exits_1(self, runner, monkeypatch, action_file):
+        import alglab.rdep
+
+        args = ["verify", "selective-nilpotency", action_file, "--c", "1"]
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setattr(alglab.rdep, "selective_check", _raise_invariant)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output == "selective-nilpotency: violation - bound failed on purpose\n"
+
+    def test_a_failed_bound_in_a_query_verb_exits_1(self, runner, monkeypatch):
+        import alglab.cli
+
+        monkeypatch.setattr(alglab.cli, "d_set", _raise_invariant)
+        result = runner.invoke(main, ["rdep", "dset", "--n", "7", "--q", "3", "--r", "2",
+                                      "--prefix", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stdout == ""
+        assert result.stderr == "error: bound failed on purpose\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+    @pytest.mark.parametrize("verb", [["check"], ["verify", "all"], ["search", "--spec"]])
+    def test_an_unreadable_file_exits_2(self, runner, tmp_path, kind, verb):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"p": 3, "dim": 1, \xff}')
+        result = runner.invoke(main, verb + [str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_a_closed_stdout_is_not_an_input_error(self):
+        # `alglab ... | head`: click's own exit 1, with no error line
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        err = io.StringIO()
+        with redirect_stdout(Closed()), redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main.main(args=["check", fixture("heisenberg_f5.json")], prog_name="alglab")
+        assert exc.value.code == 1
+        assert err.getvalue() == ""
 
 
 @pytest.mark.parametrize("args, code", [

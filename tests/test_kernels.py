@@ -11,6 +11,7 @@ and the Python int types of every field.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from alglab import (
     span,
     subspace_product,
 )
-from alglab import algebra, linalg
+from alglab import algebra, errors, linalg
 from alglab import search as search_mod
 from alglab.algebra import IdentityFailure, IdentityReport, _identity_defects, _identity_mask
 from alglab.frobenius import AutomorphismFailure, AutomorphismReport
@@ -328,6 +329,21 @@ def test_identity_row_blocks_match_the_triple_loop(monkeypatch, p):
     for A in cases:
         assert_same(check_identity_uniform(A), oracle_identity(A))
     assert any(not check_identity_uniform(A).ok for A in cases)
+
+
+def test_identity_mask_past_row_0_stays_in_row_blocks(monkeypatch):
+    # one zero table of dim 48 passes row 0; the other 47 rows at once held
+    # about 120 MB of intermediates, blocks of WORK_BUDGET entries hold 8 MB each
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10**12)  # charge nothing; blocks keep their size
+    tables = np.zeros((1, 48, 48, 48), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        keep = _identity_mask(tables, 5, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keep.tolist() == [True]
+    assert peak < 40_000_000
 
 
 def search_outputs(result):
