@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import WORK_BUDGET, InputError, check_work
+from .errors import InputError, check_work
 from .linalg import Subspace
 from .modular import check_prime
 
@@ -102,18 +102,12 @@ _ROW_BLOCK = 1 << 16  # entries of a row block's intermediate held at once
 
 
 def _rowwise_products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """out[w, :] = [X[w], Y[w]] for two (W, d) stacks reduced mod p, exact as
-    in _products but pairing rows instead of taking all pairs.  Rows go in
-    blocks, so the (rows, d, d) intermediate stays within _ROW_BLOCK entries."""
-    d = T.shape[0]
-    flat = T.reshape(d, d * d)
-    step = max(1, _ROW_BLOCK // max(1, d * d))
-    out = []
-    for i in range(0, len(X), step):
-        Xb, Yb = X[i : i + step], Y[i : i + step]
-        Z = linalg.matmul(Xb, flat, p).reshape(len(Xb), d, d)
-        out.append(linalg.matmul(Yb[:, None, :], Z, p)[:, 0])
-    return np.concatenate(out)
+    """out[w, :] = [X[w], Y[w]] for two (W, d) stacks reduced mod p: _products
+    with each row of Y paired to its row of X.  Rows go in blocks, so the
+    (rows, d, d) intermediate stays within _ROW_BLOCK entries."""
+    step = max(1, _ROW_BLOCK // max(1, T.shape[0] ** 2))
+    return np.concatenate([_products(T, X[i : i + step], Y[i : i + step, None], p)[:, 0]
+                           for i in range(0, len(X), step)])
 
 
 def product(A: Algebra, x, y) -> np.ndarray:
@@ -177,29 +171,47 @@ def _identity_defects(tables: np.ndarray, p: int, alpha: int, beta: int,
     return (lhs != rhs).any(axis=-1), lhs, rhs
 
 
-def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int) -> np.ndarray:
+def _identity_steps(tables: int, rows: int, d: int, p: int) -> int:
+    """Budget steps of the identity on `rows` basis rows of `tables` tables of
+    dim d: d^4 multiply-adds a row, 256 to a step in int64 and 4 on the exact
+    object path (about 250 ns a multiply-add on dense tables at p = 2^31 - 1)."""
+    return tables * rows * d**4 // (256 if linalg.fits_int64(d, p) else 4)
+
+
+def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int,
+                   witnesses: list | None = None) -> np.ndarray:
     """True for each table of a (B, d, d, d) stack that satisfies the identity
     on every basis triple.  Row 0 (i = 0) runs on the whole stack first, and
     rows 1..d-1 only on the tables that pass it: random tables almost all
-    fail on row 0, so most of the stack never pays for the full contraction.
-    A stack whose whole block fits in _ROW_BLOCK entries takes one call, as
-    a second call would cost more than the rows it saves.  The later rows are
-    charged to the work budget and go in row blocks of about WORK_BUDGET entries."""
+    fail on row 0.  A stack whose rows all fit in _ROW_BLOCK entries runs them
+    in one call instead.  Each stage is charged to the work budget before it
+    runs and goes in row blocks of at most _ROW_BLOCK entries (or one row),
+    dropping failed tables between blocks, unless a witnesses list collects
+    (table, IdentityFailure) for every failing triple, in (i, j, k) order."""
     B, d = tables.shape[:2]
-    split = 1 if B * d**4 > _ROW_BLOCK else d
-    keep = ~_identity_defects(tables, p, alpha, beta, 0, split)[0].any(axis=(1, 2, 3))
-    index = np.flatnonzero(keep)
-    if index.size and split < d:
-        # about d^5 multiply-adds a table; int64 matmul does a few hundred a 1 µs step
-        check_work(index.size * d**5 // 256,
-                   f"the identity on rows 1..{d - 1} of {index.size} table(s) of dim {d}")
-        step = max(1, WORK_BUDGET // (index.size * d**3))
-        for lo in range(split, d, step):
-            rest = _identity_defects(tables[index], p, alpha, beta, lo, lo + step)[0]
-            keep[index] = ~rest.any(axis=(1, 2, 3))
-            index = index[keep[index]]
-            if not index.size:
-                break
+    keep = np.ones(B, dtype=bool)
+    index, live = np.arange(B), tables
+    split = d if B * d**4 <= _ROW_BLOCK else 1
+    for lo, hi in ((0, split), (split, d)):
+        if lo == hi or not index.size:
+            continue
+        rows = f"row {lo}" if hi - lo == 1 else f"rows {lo}..{hi - 1}"
+        check_work(_identity_steps(index.size, hi - lo, d, p),
+                   f"the identity on {rows} of {index.size} table(s) of dim {d}")
+        step = max(1, _ROW_BLOCK // (index.size * d**3))
+        for start in range(lo, hi, step):
+            defects, lhs, rhs = _identity_defects(live, p, alpha, beta, start,
+                                                  min(start + step, hi))
+            failed = defects.any(axis=(1, 2, 3))
+            keep[index[failed]] = False
+            if witnesses is not None:
+                for b, i, j, k in np.argwhere(defects).tolist():
+                    sides = tuple(lhs[b, i, j, k].tolist()), tuple(rhs[b, i, j, k].tolist())
+                    witnesses.append((int(index[b]), IdentityFailure((start + i, j, k), *sides)))
+            elif failed.any():
+                index, live = index[~failed], live[~failed]
+                if not index.size:
+                    break
     return keep
 
 
@@ -208,22 +220,12 @@ def check_identity_uniform(A: Algebra) -> IdentityReport:
 
     Passing on every triple certifies the identity for all elements of the
     algebra (both sides are trilinear).  The report lists each failing triple
-    with both evaluated sides, in lexicographic triple order.  Rows i go in
-    blocks, so each block's (rows, d, d, d) intermediates stay within
-    _ROW_BLOCK entries.
+    with both evaluated sides, in lexicographic triple order; the work is
+    _identity_mask's on a stack of one.
     """
-    d = A.dim
-    step = max(1, _ROW_BLOCK // max(1, d**3))
-    failures = []
-    for lo in range(0, d, step):
-        defects, lhs, rhs = _identity_defects(A.table[None], A.p, A.alpha, A.beta,
-                                              lo, lo + step)
-        failures += [
-            IdentityFailure((lo + i, j, k), tuple(lhs[0, i, j, k].tolist()),
-                            tuple(rhs[0, i, j, k].tolist()))
-            for i, j, k in np.argwhere(defects[0]).tolist()
-        ]
-    return IdentityReport(not failures, d**3, tuple(failures))
+    witnesses: list = []
+    _identity_mask(A.table[None], A.p, A.alpha, A.beta, witnesses)
+    return IdentityReport(not witnesses, A.dim**3, tuple(w for _, w in witnesses))
 
 
 def identity_holds_for(A: Algebra, a, b, c, alpha: int | None = None,

@@ -215,13 +215,8 @@ def load(path: PathLike) -> LoadedAlgebra:
 def to_document(loaded: LoadedAlgebra) -> dict:
     """Canonical plain-dict form (fixed key order, sorted table)."""
     A = loaded.algebra
-    quads = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                c = int(A.table[i, j, k])
-                if c:
-                    quads.append([i + 1, j + 1, k + 1, c])
+    quads = [[i + 1, j + 1, k + 1, int(A.table[i, j, k])]
+             for i, j, k in np.argwhere(A.table).tolist()]
     doc: dict = {
         "p": A.p,
         "dim": A.dim,

@@ -219,13 +219,8 @@ def eigen_grading(A: Algebra, phi, n: int) -> EigenGradingResult:
             f"eigenspaces span rank {total} < dim {A.dim}; phi is not diagonalizable over F_{A.p}"
         )
 
-    if A.dim == 0:
-        C = np.zeros((0, 0), dtype=np.int64)
-        degrees: tuple[int, ...] = ()
-    else:
-        blocks = [c.basis for c in comps if c.rank > 0]
-        C = np.vstack(blocks)
-        degrees = tuple(i for i, c in enumerate(comps) for _ in range(c.rank))
+    C = np.vstack([c.basis for c in comps])  # (0, 0) at dim 0
+    degrees = tuple(i for i, c in enumerate(comps) for _ in range(c.rank))
 
     d = A.dim
     Cinv = linalg.mat_inv(C, A.p) if d else C

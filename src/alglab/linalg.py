@@ -42,10 +42,14 @@ def inv_scalar(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+def fits_int64(inner: int, p: int) -> bool:
+    """True when a mod-p product over an inner axis of this length cannot overflow int64."""
+    return inner * (p - 1) ** 2 < 2**63
+
+
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact (A @ B) mod p; falls back to bignum arithmetic if int64 could overflow."""
-    inner = A.shape[-1]
-    if inner * (p - 1) ** 2 < 2**63:
+    if fits_int64(A.shape[-1], p):
         return (A @ B) % p
     return np.asarray((A.astype(object) @ B.astype(object)) % p, dtype=np.int64)
 
@@ -270,10 +274,8 @@ def nullspace(A: np.ndarray, p: int) -> Subspace:
     if not free:
         return zero_subspace(p, n)
     vecs = np.zeros((len(free), n), dtype=np.int64)
-    for row_idx, f in enumerate(free):
-        vecs[row_idx, f] = 1
-        for r, c in enumerate(pivots):
-            vecs[row_idx, c] = (-R[r, f]) % p
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, pivots] = (-R[: len(pivots), free].T) % p
     return span(vecs, p, n)
 
 
@@ -296,8 +298,7 @@ def solve(A: np.ndarray, b, p: int) -> Optional[LinearSolution]:
     if n in pivots:
         return None  # a pivot in the constants column: inconsistent
     x = np.zeros(n, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, n]
+    x[pivots] = R[: len(pivots), n]
     return LinearSolution(x, nullspace(A, p))
 
 

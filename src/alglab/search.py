@@ -10,9 +10,10 @@ makes the stream order deterministic and chunkable.
 Slots, their table positions, the grading net and the selective triple are
 set up once per search call.  Each chunk of candidates is then one stack of
 tables: the identity filter checks basis row 0 on the whole stack and the
-other rows only on the tables that pass it; the grading net, the selective
-check and both exact series lengths run on the stack of identity survivors
-at once, never on one survivor at a time.  Random mode replays
+other rows only on the tables that pass it, charging each stage to the work
+budget (row 0 of every candidate is also charged up front); the grading net,
+the selective check and both exact series lengths run on the stack of
+identity survivors at once, never on one survivor at a time.  Random mode replays
 random.Random(seed).randrange(p) in numpy, draw for draw.  ALGLAB_THREADS > 1
 distributes chunks over a thread pool; chunk results are merged in index
 order so the output stream does not depend on the worker count.
@@ -30,7 +31,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .algebra import Algebra, _identity_mask
+from .algebra import Algebra, _identity_mask, _identity_steps
 from .errors import WORK_BUDGET, FormatError, InputError, check_work
 from .formats import LoadedAlgebra, to_document
 from .frobenius import NQRTriple, validate_nqr
@@ -332,7 +333,10 @@ def search(spec: CorpusSpec) -> SearchResult:
     else:  # one draw per slot of each sample
         check_work(total * len(slots),
                    f"a random search of {total:,} samples over {len(slots)} slots")
-    # a chunk's identity block holds chunk * dim^4 entries: keep it within the budget
+    if spec.identity_filter:  # the later rows are charged on the row-0 survivors
+        check_work(_identity_steps(total, 1, spec.dim, spec.p),
+                   f"row 0 of the identity on {total:,} candidates of dim {spec.dim}")
+    # a chunk's row 0 is chunk * dim^4 multiply-adds: keep each chunk within the budget
     chunk = min(CHUNK, max(1, WORK_BUDGET // max(spec.dim, 1) ** 4))
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     stream = _random_stream(spec, len(slots)) if spec.mode == "random" else None

@@ -40,7 +40,7 @@ def _iterate(first: Subspace, step) -> SeriesResult:
 
 def derived_series(A: Algebra) -> SeriesResult:
     """L^(0) = L, L^(i+1) = [L^(i), L^(i)]."""
-    return _iterate(A.full_space(), lambda S: subspace_product(A, S, S))
+    return series_of_subalgebra(A, A.full_space(), "derived")
 
 
 def derived_length(A: Algebra) -> Optional[int]:
@@ -54,8 +54,7 @@ def lower_central_series(A: Algebra) -> SeriesResult:
     the rewrite of right-nested brackets, so the series computed this way
     matches the two-sided variant on every algebra satisfying the identity.
     """
-    L = A.full_space()
-    return _iterate(L, lambda S: subspace_product(A, S, L))
+    return series_of_subalgebra(A, A.full_space(), "lcs")
 
 
 def nilpotency_class(A: Algebra) -> Optional[int]:

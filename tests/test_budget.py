@@ -4,12 +4,13 @@ import json
 import re
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import alglab.errors as errors
 import alglab.search as search_mod
-from alglab import Grading, make_algebra
+from alglab import Grading, check_identity_uniform, make_algebra
 from alglab.cli import main
 from alglab.formats import loads
 from alglab.frobenius import NQRTriple
@@ -32,6 +33,8 @@ def _right_nested(k):
         term = f"[a{i},{term}]"
     return term
 
+
+DIM_128 = {"p": 5, "dim": 128, "alpha": 1, "beta": 1, "table": []}
 
 HANGING = {
     "normalize-20-atoms": ["rewrite", "normalize", _right_nested(20),
@@ -58,6 +61,15 @@ HANGING = {
     # other 79 rows of the identity are some 80^5 multiply-adds
     "search-dim-80": ["search", "--spec", {"p": 5, "n": 3, "component_dims": [0, 0, 80],
                                            "mode": "random", "seed": 1, "samples": 1}],
+    # the identity on all 128 rows of a zero table: some 128^5 multiply-adds
+    "check-dim-128": ["check", DIM_128],
+    # 200 tables of dim 64, one to a chunk: row 0 alone is 200 * 64^4 multiply-adds
+    "search-dim-64": ["search", "--spec", {"p": 5, "n": 3, "component_dims": [0, 1, 63],
+                                           "mode": "random", "seed": 1, "samples": 200}],
+    # at p = 2^31 - 1 the identity takes linalg.matmul's exact object path
+    "search-large-p-dim-40": ["search", "--spec", {"p": 2147483647, "n": 3,
+                                                   "component_dims": [0, 0, 40], "mode": "random",
+                                                   "seed": 1, "samples": 1}],
 }
 
 
@@ -97,6 +109,9 @@ def test_every_entry_point_charges_the_one_budget(monkeypatch):
             lambda: search(CorpusSpec(p=3, n=3, component_dims=(0, 1, 1), mode="random",
                                       seed=1, samples=3)),
         ("an index-split check of 30^2 pairs mod 31", 900): lambda: index_split_check(31),
+        # 4 rows of 4^4 multiply-adds, 256 to a step
+        ("the identity on rows 0..3 of 1 table(s) of dim 4", 4):
+            lambda: check_identity_uniform(make_algebra(5, 4, np.zeros((4, 4, 4)))),
     }
     for run in entry_points.values():  # small inputs pass, and their constants are cached
         run()
@@ -119,6 +134,24 @@ def test_every_entry_point_charges_the_one_budget(monkeypatch):
     assert skipped.status.value == "skipped"
     assert skipped.message == (
         "an index-split check of 6^2 pairs mod 7 is too large: estimate 36 steps, budget 2")
+
+
+def test_the_identity_certifies_up_to_dim_48_under_the_default_budget():
+    # a zero table of dim 48 is 48^5 / 256 = 995,328 steps; dim 49 is refused
+    assert check_identity_uniform(make_algebra(5, 48, np.zeros((48, 48, 48)))).ok
+    with pytest.raises(errors.InputError, match="^the identity on rows 1..48 of 1 table"):
+        check_identity_uniform(make_algebra(5, 49, np.zeros((49, 49, 49))))
+
+
+def test_verify_all_on_an_over_budget_file_exits_2_with_one_error_line(tmp_path):
+    # the identity is a hypothesis of kreknin and selective-nilpotency, so the
+    # refusal ends the run rather than skipping one check
+    path = tmp_path / "dim128.json"
+    path.write_text(json.dumps(DIM_128))
+    result = CliRunner().invoke(main, ["verify", "all", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: the identity on row 0 of 1 table(s) of dim 128 ")
+    assert result.output.count("\n") == 1
 
 
 def test_index_split_on_a_large_modulus_is_skipped_within_a_second(tmp_path):

@@ -331,9 +331,19 @@ def test_identity_row_blocks_match_the_triple_loop(monkeypatch, p):
     assert any(not check_identity_uniform(A).ok for A in cases)
 
 
+def test_identity_witnesses_of_a_table_failing_row_0_include_the_later_blocks(monkeypatch):
+    # at d = 4 a block of 64 entries holds one row, so row 0 is stage 1 and each
+    # later row its own block: a table dropped after row 0 would lose their witnesses
+    monkeypatch.setattr(algebra, "_ROW_BLOCK", 64)
+    A = make_algebra(5, 4, random_table(random.Random(4), 5, 4, density=1.0), 2, 3)
+    report = check_identity_uniform(A)
+    assert_same(report, oracle_identity(A))
+    assert {f.triple[0] for f in report.failures} == {0, 1, 2, 3}
+
+
 def test_identity_mask_past_row_0_stays_in_row_blocks(monkeypatch):
     # one zero table of dim 48 passes row 0; the other 47 rows at once held
-    # about 120 MB of intermediates, blocks of WORK_BUDGET entries hold 8 MB each
+    # about 120 MB of intermediates, blocks of one row hold under 1 MB each
     monkeypatch.setattr(errors, "WORK_BUDGET", 10**12)  # charge nothing; blocks keep their size
     tables = np.zeros((1, 48, 48, 48), dtype=np.int64)
     tracemalloc.start()
