@@ -179,7 +179,7 @@ def _identity_steps(tables: int, rows: int, d: int, p: int) -> int:
 
 
 def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int,
-                   witnesses: list | None = None) -> np.ndarray:
+                   witnesses: list | None = None, charge=None) -> np.ndarray:
     """True for each table of a (B, d, d, d) stack that satisfies the identity
     on every basis triple.  Row 0 (i = 0) runs on the whole stack first, and
     rows 1..d-1 only on the tables that pass it: random tables almost all
@@ -187,7 +187,10 @@ def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int,
     in one call instead.  Each stage is charged to the work budget before it
     runs and goes in row blocks of at most _ROW_BLOCK entries (or one row),
     dropping failed tables between blocks, unless a witnesses list collects
-    (table, IdentityFailure) for every failing triple, in (i, j, k) order."""
+    (table, IdentityFailure) for every failing triple, in (i, j, k) order.
+    A charge callable, if given, gets the number of tables that pass row 0:
+    before rows 1..d-1 run on them, or right after the one call that runs
+    every row of a small stack."""
     B, d = tables.shape[:2]
     keep = np.ones(B, dtype=bool)
     index, live = np.arange(B), tables
@@ -198,10 +201,14 @@ def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int,
         rows = f"row {lo}" if hi - lo == 1 else f"rows {lo}..{hi - 1}"
         check_work(_identity_steps(index.size, hi - lo, d, p),
                    f"the identity on {rows} of {index.size} table(s) of dim {d}")
+        if lo and charge is not None:
+            charge(index.size)
         step = max(1, _ROW_BLOCK // (index.size * d**3))
         for start in range(lo, hi, step):
             defects, lhs, rhs = _identity_defects(live, p, alpha, beta, start,
                                                   min(start + step, hi))
+            if split > 1 and charge is not None:
+                charge(B - int(defects[:, 0].any(axis=(1, 2)).sum()))
             failed = defects.any(axis=(1, 2, 3))
             keep[index[failed]] = False
             if witnesses is not None:

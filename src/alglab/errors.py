@@ -13,9 +13,12 @@ WORK_BUDGET = 1_000_000  # steps of about 1 µs that one call may take
 
 
 def check_work(steps: int, what: str) -> None:
-    """Refuse (InputError, exit 2) work estimated at more than WORK_BUDGET steps."""
+    """Refuse (InputError, exit 2) work estimated at more than WORK_BUDGET steps.
+    An estimate past 2^4096 is shown by its leading power of two."""
     if steps > WORK_BUDGET:
-        raise InputError(f"{what} is too large: estimate {steps:,} steps, budget {WORK_BUDGET:,}")
+        bits = steps.bit_length()
+        shown = f"{steps:,}" if bits <= 4096 else f"over 2^{bits - 1}"
+        raise InputError(f"{what} is too large: estimate {shown} steps, budget {WORK_BUDGET:,}")
 
 
 class FormatError(InputError):

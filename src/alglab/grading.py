@@ -9,6 +9,7 @@ construction and the only thing to verify is the multiplication law
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,14 +54,24 @@ class GradingReport:
     violations: tuple[GradingViolation, ...]
 
 
+@lru_cache(maxsize=16)
+def _graded_entries(degrees: tuple[int, ...], n: int) -> np.ndarray:
+    """The (d, d, d) mask of the table entries [b_i, b_j]_k that the grading
+    allows: deg(k) = deg(i) + deg(j) mod n.  Cached per (degrees, n), so it is
+    read-only."""
+    deg = np.asarray(degrees, dtype=np.int64)
+    mask = deg[None, None, :] == (deg[:, None, None] + deg[None, :, None]) % n
+    mask.setflags(write=False)
+    return mask
+
+
 def check_grading(A: Algebra, G: Grading) -> GradingReport:
     """Verify [b_i, b_j] lands in the component of degree deg(i)+deg(j) mod n."""
     _check_dims(A, G)
-    deg = np.asarray(G.degrees, dtype=np.int64)
-    target = (deg[:, None] + deg[None, :]) % G.n
-    stray = (A.table != 0) & (deg[None, None, :] != target[:, :, None])
+    stray = (A.table != 0) & ~_graded_entries(tuple(G.degrees), G.n)
     violations = tuple(
-        GradingViolation((i, j), int(target[i, j]), tuple(np.flatnonzero(stray[i, j]).tolist()))
+        GradingViolation((i, j), (G.degrees[i] + G.degrees[j]) % G.n,
+                         tuple(np.flatnonzero(stray[i, j]).tolist()))
         for i, j in np.argwhere(stray.any(axis=-1)).tolist()
     )
     return GradingReport(not violations, A.dim**2, violations)

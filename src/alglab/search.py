@@ -10,10 +10,11 @@ makes the stream order deterministic and chunkable.
 Slots, their table positions, the grading net and the selective triple are
 set up once per search call.  Each chunk of candidates is then one stack of
 tables: the identity filter checks basis row 0 on the whole stack and the
-other rows only on the tables that pass it, charging each stage to the work
-budget (row 0 of every candidate is also charged up front); the grading net,
-the selective check and both exact series lengths run on the stack of
-identity survivors at once, never on one survivor at a time.  Random mode replays
+other rows only on the tables that pass it; the grading net, the selective
+check and both exact series lengths run on the stack of identity survivors
+at once, never on one survivor at a time.  The work budget bounds every
+stage: what the spec fixes is charged up front, the rest on one running
+total per call as it is made (_charge_spec, _Setup).  Random mode replays
 random.Random(seed).randrange(p) in numpy, draw for draw.  ALGLAB_THREADS > 1
 distributes chunks over a thread pool; chunk results are merged in index
 order so the output stream does not depend on the worker count.
@@ -24,8 +25,10 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -35,14 +38,14 @@ from .algebra import Algebra, _identity_mask, _identity_steps
 from .errors import WORK_BUDGET, FormatError, InputError, check_work
 from .formats import LoadedAlgebra, to_document
 from .frobenius import NQRTriple, validate_nqr
-from .grading import Grading
+from .grading import Grading, _graded_entries
 from .modular import check_prime
 from .rdep import _selective_violations
 from .series import _stacked_lengths
 
-EXHAUSTIVE_DIM_LIMIT = 8
-EXHAUSTIVE_P_LIMIT = 3
 CHUNK = 4096
+# a Survivor, its document and its output line: 30-55 µs measured at d <= 5
+_SURVIVOR_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -89,21 +92,12 @@ def validate_spec(spec: CorpusSpec) -> CorpusSpec:
         raise InputError("component dimensions must be >= 0")
     if not (0 < spec.alpha % spec.p):
         raise InputError("alpha must be nonzero mod p")
-    if spec.mode == "exhaustive":
-        if spec.dim > EXHAUSTIVE_DIM_LIMIT:
-            raise InputError(
-                f"exhaustive mode caps total dim at {EXHAUSTIVE_DIM_LIMIT}, got {spec.dim}"
-            )
-        if spec.p > EXHAUSTIVE_P_LIMIT:
-            raise InputError(
-                f"exhaustive mode caps p at {EXHAUSTIVE_P_LIMIT}, got {spec.p}"
-            )
-    elif spec.mode == "random":
+    if spec.mode == "random":
         if spec.seed is None:
             raise InputError("random mode requires an explicit seed")
         if spec.samples < 1:
             raise InputError("random mode requires samples >= 1")
-    else:
+    elif spec.mode != "exhaustive":
         raise InputError(f"unknown mode {spec.mode!r}")
     if spec.selective is not None:
         if spec.selective.c < 0:
@@ -158,15 +152,29 @@ def load_spec(path: Union[str, Path]) -> CorpusSpec:
 
 def admissible_slots(spec: CorpusSpec) -> list[tuple[int, int, int]]:
     """Table slots (i, j, k) compatible with the grading, in lexicographic order."""
-    degs = spec.degrees
-    slots = []
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            target = (degs[i] + degs[j]) % spec.n
-            for k in range(spec.dim):
-                if degs[k] == target:
-                    slots.append((i, j, k))
-    return slots
+    return [tuple(slot) for slot in np.argwhere(_graded_entries(spec.degrees, spec.n)).tolist()]
+
+
+def _charge_spec(spec: CorpusSpec) -> None:
+    """Charge what the spec alone fixes, before anything of size d^3 is built:
+    the candidates of exhaustive mode or the draws of random mode, row 0 of the
+    identity on every candidate, and the d^3 entries of every table, 256 to a
+    step.  The slot count is the sum of dims[a] * dims[b] * dims[(a + b) mod n]
+    over the nonzero components, about 0.1 µs a pair."""
+    dims, n, d = spec.component_dims, spec.n, spec.dim
+    nonzero = [a for a in range(n) if dims[a]]
+    check_work(len(nonzero) ** 2 // 8, f"counting the slots of {len(nonzero):,} nonzero components")
+    nslots = sum(dims[a] * dims[b] * dims[(a + b) % n] for a in nonzero for b in nonzero)
+    if spec.mode == "exhaustive":  # p^4096 is past any budget: no larger power is built
+        total = spec.p ** min(nslots, 4096)
+        check_work(total, f"an exhaustive search over {spec.p}^{nslots} candidates")
+    else:  # one draw per slot of each sample
+        total = spec.samples
+        check_work(total * nslots, f"a random search of {total:,} samples over {nslots} slots")
+    if spec.identity_filter:  # the later rows are charged on the row-0 survivors
+        check_work(_identity_steps(total, 1, d, spec.p),
+                   f"row 0 of the identity on {total:,} candidates of dim {d}")
+    check_work(total * d**3 // 256, f"building {total:,} tables of dim {d}")
 
 
 def candidate_count(spec: CorpusSpec, slots=None) -> int:
@@ -259,25 +267,45 @@ def _threads() -> int:
         return 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Setup:
-    """What every chunk of one search call shares, built once per call."""
+    """What every chunk of one search call shares, built once per call, and the
+    call's running total past its up-front charges: rows 1..d-1 of the
+    identity on each table that passes row 0, and per survivor its two series
+    (at most 2(d + 1) products of d^4 multiply-adds, at the identity's rate),
+    its document's d^3 entries and _SURVIVOR_STEPS.  The total follows from
+    the two counts alone, so whether a call passes the budget does not depend
+    on its chunks or threads; the printed estimate may."""
 
     spec: CorpusSpec
     slot_index: np.ndarray            # flat table position of each slot
-    off_grade: Optional[np.ndarray]   # flat positions off deg(i) + deg(j) mod n
+    off_grade: Optional[np.ndarray]   # flat positions of the slots off deg(i) + deg(j) mod n
     nqr: Optional[NQRTriple]
     grading: Grading
+    tables: int = 0                   # past row 0 of the identity
+    survivors: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def charge(self, tables: int = 0, survivors: int = 0) -> None:
+        d, p = self.spec.dim, self.spec.p
+        with self.lock:
+            self.tables += tables
+            self.survivors += survivors
+            steps = (_identity_steps(self.tables, max(d - 1, 0), d, p)
+                     + _identity_steps(self.survivors, 2 * (d + 1), d, p)
+                     + self.survivors * (_SURVIVOR_STEPS + d**3 // 64))
+            what = (f"the work past row 0 of a dim-{d} search ({self.tables:,} tables "
+                    f"past row 0, {self.survivors:,} survivors)")
+        check_work(steps, what)
 
 
 def _setup(spec: CorpusSpec, slots) -> _Setup:
     d = spec.dim
     slot_index = np.asarray([(i * d + j) * d + k for i, j, k in slots], dtype=np.intp)
-    off_grade = None
+    off_grade = None  # tables are zero off their slots: only an off-grade slot can break the law
     if spec.grading_filter:
-        deg = np.asarray(spec.degrees, dtype=np.int64)
-        off = deg[None, None, :] != (deg[:, None, None] + deg[None, :, None]) % spec.n
-        off_grade = np.flatnonzero(off)
+        off = slot_index[~_graded_entries(spec.degrees, spec.n).ravel()[slot_index]]
+        off_grade = off if off.size else None
     nqr = None
     if spec.selective is not None:
         nqr = NQRTriple(spec.n, spec.selective.q, spec.selective.r)
@@ -295,7 +323,7 @@ def _survivors_of_chunk(setup: _Setup, start: int, coeffs: np.ndarray) -> list[S
     flat[:, setup.slot_index] = coeffs
     tables = flat.reshape(B, d, d, d)
     if spec.identity_filter:
-        index = np.flatnonzero(_identity_mask(tables, p, alpha, beta))
+        index = np.flatnonzero(_identity_mask(tables, p, alpha, beta, charge=setup.charge))
     else:
         index = np.arange(B)
     if setup.off_grade is not None:
@@ -307,6 +335,7 @@ def _survivors_of_chunk(setup: _Setup, start: int, coeffs: np.ndarray) -> list[S
         failing = _selective_violations(tables[index], p, degrees, spec.selective.c,
                                         setup.nqr)[2]
         index = index[[not f for f in failing]]
+    setup.charge(survivors=index.size)
     kept = tables[index]
     derived, classes = _stacked_lengths(kept, p)
     components = len(set(degrees))
@@ -326,16 +355,9 @@ def _survivors_of_chunk(setup: _Setup, start: int, coeffs: np.ndarray) -> list[S
 def search(spec: CorpusSpec) -> SearchResult:
     """Run the full pipeline and collect survivors plus per-bucket maxima."""
     validate_spec(spec)
+    _charge_spec(spec)
     slots = admissible_slots(spec)
     total = candidate_count(spec, slots)
-    if spec.mode == "exhaustive":
-        check_work(total, f"an exhaustive search over {spec.p}^{len(slots)} candidates")
-    else:  # one draw per slot of each sample
-        check_work(total * len(slots),
-                   f"a random search of {total:,} samples over {len(slots)} slots")
-    if spec.identity_filter:  # the later rows are charged on the row-0 survivors
-        check_work(_identity_steps(total, 1, spec.dim, spec.p),
-                   f"row 0 of the identity on {total:,} candidates of dim {spec.dim}")
     # a chunk's row 0 is chunk * dim^4 multiply-adds: keep each chunk within the budget
     chunk = min(CHUNK, max(1, WORK_BUDGET // max(spec.dim, 1) ** 4))
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
@@ -353,7 +375,14 @@ def search(spec: CorpusSpec) -> SearchResult:
     workers = _threads()
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, ranges))
+            # a few chunks ahead of the one awaited, so a refusal leaves little queued
+            pending: deque = deque()
+            chunks = []
+            for se in ranges:
+                pending.append(pool.submit(run, se))
+                if len(pending) > 2 * workers:
+                    chunks.append(pending.popleft().result())
+            chunks += [f.result() for f in pending]
     else:
         chunks = [run(se) for se in ranges]
     survivors = [s for chunk in chunks for s in chunk]

@@ -90,16 +90,6 @@ def _stacked_lengths(tables: np.ndarray, p: int) -> tuple[list[Optional[int]], l
         step += 1
 
 
-def lower_central_series_two_sided(A: Algebra) -> SeriesResult:
-    """g_{k+1} = [g_k, L] + [L, g_k]; cross-check target for the one-sided form."""
-    L = A.full_space()
-
-    def step(S: Subspace) -> Subspace:
-        return linalg.subspace_sum(subspace_product(A, S, L), subspace_product(A, L, S))
-
-    return _iterate(L, step)
-
-
 def series_of_subalgebra(A: Algebra, K: Subspace, kind: str = "lcs") -> SeriesResult:
     """Lower central or derived series of a subalgebra K inside A."""
     if kind == "lcs":

@@ -23,7 +23,7 @@ from . import rdep
 from .algebra import check_identity_uniform
 from .errors import AlgLabError, HypothesisError, InputError, InternalInvariantError, check_work
 from .formats import LoadedAlgebra
-from .frobenius import _untwisted_components, eigen_grading
+from .frobenius import _component_steps, _untwisted_components, eigen_grading
 from .grading import check_grading, component_count, nontrivial_components
 from .rdep import d_set, d_set_work, index_split_check, is_r_independent
 from .series import derived_length, kreknin_shalev_bound, nilpotency_class
@@ -193,6 +193,11 @@ def _check_frobenius(facts: _Facts, c: Optional[int]) -> CheckResult:
     A, fd = facts.loaded.algebra, facts.loaded.action
     if fd is None:
         return CheckResult(name, Status.SKIPPED, "no action block")
+    try:  # outside the try below, which makes any error of eigen_grading a violation
+        check_work(2 * _component_steps(fd.triple.n, A.dim),
+                   f"the frobenius check over {fd.triple.n:,} eigenvalues")
+    except InputError as exc:
+        return CheckResult(name, Status.SKIPPED, str(exc))
     try:
         egr = eigen_grading(A, fd.phi, fd.triple.n)
     except AlgLabError as exc:

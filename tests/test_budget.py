@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+import threading
 import time
 
 import numpy as np
@@ -13,7 +15,7 @@ import alglab.search as search_mod
 from alglab import Grading, check_identity_uniform, make_algebra
 from alglab.cli import main
 from alglab.formats import loads
-from alglab.frobenius import NQRTriple
+from alglab.frobenius import NQRTriple, eigen_grading, h_permutation_check
 from alglab.rdep import (
     d_set,
     index_split_check,
@@ -22,7 +24,7 @@ from alglab.rdep import (
     selective_check,
 )
 from alglab.rewrite import normalize, parse
-from alglab.search import CorpusSpec, search
+from alglab.search import CorpusSpec, search, spec_from_document
 from alglab.verify import verify
 from conftest import sweep_action_doc
 
@@ -35,6 +37,28 @@ def _right_nested(k):
 
 
 DIM_128 = {"p": 5, "dim": 128, "alpha": 1, "beta": 1, "table": []}
+# a dim-1 file whose action has n = p - 1: n eigenspaces, and as many images under h
+ACTION_N_10_6 = {"p": 1000003, "dim": 1, "alpha": 1, "beta": 1, "table": [],
+                 "action": {"n": 1000002, "q": 1, "r": 1, "phi": [[2]], "h": [[1]]}}
+ACTION_N_2_31 = {"p": 2147483647, "dim": 1, "alpha": 1, "beta": 1, "table": [],
+                 "action": {"n": 2147483646, "q": 1, "r": 1, "phi": [[7]], "h": [[1]]}}
+
+# search specs refused only by the running total past row 0 (or by an up-front
+# charge that used to come after a d^3 loop)
+LATE_STAGES = {
+    # [L_3, L_3] lies in L_2, which annihilates L: all 2^18 candidates survive
+    "search-all-survive-p2": {"p": 2, "n": 4, "component_dims": [0, 0, 2, 3]},
+    # no slots, so no draws: every zero table survives
+    "search-zero-tables-100k": {"p": 5, "n": 3, "component_dims": [0, 0, 3], "mode": "random",
+                                "seed": 1, "samples": 100000},
+    "search-dim-800": {"p": 5, "n": 2, "component_dims": [0, 800], "mode": "random",
+                       "seed": 1, "samples": 1},
+    # nothing is charged for the identity; the one survivor's series are
+    "search-dim-200-no-identity": {"p": 5, "n": 2, "component_dims": [0, 200], "mode": "random",
+                                   "seed": 1, "samples": 1, "filters": {"identity": False}},
+    # past the old exhaustive p limit: all 5^8 candidates survive
+    "search-all-survive-p5": {"p": 5, "n": 4, "component_dims": [0, 0, 2, 2]},
+}
 
 HANGING = {
     "normalize-20-atoms": ["rewrite", "normalize", _right_nested(20),
@@ -70,6 +94,14 @@ HANGING = {
     "search-large-p-dim-40": ["search", "--spec", {"p": 2147483647, "n": 3,
                                                    "component_dims": [0, 0, 40], "mode": "random",
                                                    "seed": 1, "samples": 1}],
+    **{name: ["search", "--spec", spec] for name, spec in LATE_STAGES.items()},
+    # 27,000 slots: the estimate is shown as a power of two, not as 250,000 digits
+    "search-p-2^31-27000-slots": ["search", "--spec", {"p": 2147483647, "n": 1,
+                                                       "component_dims": [30]}],
+    # 4,999^2 pairs of components to count the slots from
+    "search-n-5000": ["search", "--spec", {"p": 2, "n": 5000, "component_dims": [0] + [1] * 4999}],
+    # skipped, so exit 2 when requested alone
+    "verify-frobenius-n-10^6": ["verify", "frobenius", ACTION_N_10_6],
 }
 
 
@@ -183,12 +215,72 @@ def test_random_chunks_keep_the_identity_block_in_budget(monkeypatch):
     seen = []
     mask = search_mod._identity_mask
 
-    def spy(tables, *args):
+    def spy(tables, *args, **kwargs):
         seen.append(tables.shape[0])
-        return mask(tables, *args)
+        return mask(tables, *args, **kwargs)
 
     monkeypatch.setattr(search_mod, "_identity_mask", spy)
     spec = CorpusSpec(p=5, n=3, component_dims=(0, 6, 6), mode="random", seed=3, samples=100)
     assert search(spec).candidates == 100
     assert sum(seen) == 100
     assert max(seen) * 12 ** 4 <= errors.WORK_BUDGET
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("name", LATE_STAGES)
+def test_late_stage_refusal_does_not_depend_on_chunks_or_threads(monkeypatch, name, chunk,
+                                                                 threads):
+    monkeypatch.setattr(search_mod, "CHUNK", chunk)
+    monkeypatch.setenv("ALGLAB_THREADS", threads)
+    # survivors are charged before their series run, so the series cannot change
+    # the decision; leaving them out halves the test at CHUNK 7
+    monkeypatch.setattr(search_mod, "_stacked_lengths",
+                        lambda tables, p: ([None] * len(tables),) * 2)
+    with pytest.raises(errors.InputError, match="is too large: estimate "):
+        search(spec_from_document(LATE_STAGES[name]))
+
+
+@pytest.mark.parametrize("doc", [ACTION_N_10_6, ACTION_N_2_31], ids=["n-10^6", "n-2^31"])
+def test_check_on_an_action_with_large_n_answers_within_a_second(doc, tmp_path):
+    # the exact order of phi takes one mat_pow per prime factor of n
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 0
+    assert result.output == ("identity: pass - product identity holds with (alpha, beta) = (1, 1) "
+                             "on all 1 basis triples\ngrading: skipped - no grading block\n")
+
+
+def test_the_running_total_loses_no_update_across_threads(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10**12)  # count only
+    setup = search_mod._setup(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1)), [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: [setup.charge(1, 2) for _ in range(2000)])
+                   for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert (setup.tables, setup.survivors) == (16000, 32000)
+
+
+def test_the_n_fold_action_loops_are_charged_before_they_run():
+    loaded = loads(json.dumps(ACTION_N_10_6))
+    A, fd = loaded.algebra, loaded.action
+    runs = {"splitting L by 1,000,002 eigenvalues": (lambda: eigen_grading(A, fd.phi, 1000002), 1),
+            "the h-permutation check over 1,000,002 components":
+                (lambda: h_permutation_check(A, Grading(1000002, (1,)), fd), 2)}
+    start = time.perf_counter()
+    for what, (run, loops) in runs.items():
+        message = f"^{what} is too large: estimate {loops * 37_000_074:,} steps"
+        with pytest.raises(errors.InputError, match=message):
+            run()
+    assert time.perf_counter() - start < 1.0

@@ -305,9 +305,17 @@ class TestSearch:
 
     def test_search_invalid_spec_exit_2(self, runner, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"p": 5, "n": 2, "component_dims": [0, 1]}))
+        spec.write_text(json.dumps({"p": 6, "n": 2, "component_dims": [0, 1]}))
         result = runner.invoke(main, ["search", "--spec", str(spec)])
         assert result.exit_code == 2
+
+    def test_search_over_f5_exits_0(self, runner, tmp_path):
+        # exhaustive mode has no p limit: 5^2 candidates, 9 of them survive
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"p": 5, "n": 3, "component_dims": [0, 1, 1]}))
+        result = runner.invoke(main, ["search", "--spec", str(spec)])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-2] == "candidates: 25  survivors: 9"
 
 
 def _raise_invariant(*args, **kwargs):

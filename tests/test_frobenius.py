@@ -18,6 +18,7 @@ from alglab import (
     span,
     validate_nqr,
 )
+from alglab.frobenius import _order_dividing
 from alglab.linalg import matmul, mat_inv, mat_pow
 from alglab.modular import multiplicative_order
 from conftest import abelian, leibniz2
@@ -183,6 +184,26 @@ def test_frobenius_data_rejects_bad_conjugation():
     A = abelian(7, 2)
     with pytest.raises(InputError):
         frobenius_data(A, 3, 2, 2, np.diag([2, 4]), np.eye(2, dtype=np.int64))
+
+
+def test_frobenius_data_names_the_order_it_found():
+    A = abelian(7, 2)
+    h = np.array([[0, 1], [1, 0]])
+    # phi = I has order 1, which divides 3; -I has order 2, which does not
+    for phi, got in ((np.eye(2, dtype=np.int64), "1"),
+                     (np.diag([6, 6]), "an order that does not divide 3")):
+        with pytest.raises(InputError, match=f"^phi must have order exactly 3, got {got}$"):
+            frobenius_data(A, 3, 2, 2, phi, h)
+
+
+def test_order_by_prime_factors_matches_successive_powers():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        g = rng.integers(0, 7, size=(3, 3))
+        want = matrix_order(g, 7, cap=400)  # GL_3(F_7) has elements of order up to 342
+        for n in (1, 2, 6, 12, 48, 57, 342):
+            expected = want if want and n % want == 0 else None
+            assert _order_dividing(g % 7, 7, n) == expected
 
 
 def test_frobenius_data_rejects_wrong_field():

@@ -24,6 +24,28 @@ def test_admissible_slots_respect_grading():
     assert candidate_count(spec) == 4
 
 
+def oracle_slots(spec):
+    """The triple loop that admissible_slots replaced."""
+    degs, d = spec.degrees, spec.dim
+    return [(i, j, k) for i in range(d) for j in range(d) for k in range(d)
+            if degs[k] == (degs[i] + degs[j]) % spec.n]
+
+
+@pytest.mark.parametrize("n, dims", [(3, (0, 1, 1)), (5, (0, 2, 0, 1, 1)), (4, (1, 2, 0, 3)),
+                                     (7, (0, 0, 3, 0, 2, 0, 0)), (2, (1, 3))])
+def test_admissible_slots_match_the_loop_and_the_count_from_dims(monkeypatch, n, dims):
+    import alglab.errors as errors
+
+    spec = CorpusSpec(p=2, n=n, component_dims=dims)
+    slots = admissible_slots(spec)
+    assert slots == oracle_slots(spec)
+    # at budget 1 the first refusal is the candidates', counted from the dims alone
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1)
+    message = rf"^an exhaustive search over 2\^{len(slots)} candidates "
+    with pytest.raises(InputError, match=message):
+        search(spec)
+
+
 def test_exhaustive_example_survivors():
     res = search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1)))
     assert res.candidates == 4
@@ -57,10 +79,13 @@ def test_selective_filter_prunes_to_abelian():
 
 
 def test_validate_spec_limits():
-    with pytest.raises(InputError):
-        validate_spec(CorpusSpec(p=2, n=2, component_dims=(0, 9)))  # dim > 8
-    with pytest.raises(InputError):
-        validate_spec(CorpusSpec(p=5, n=2, component_dims=(0, 1)))  # p > 3 exhaustive
+    # no shape limit in exhaustive mode: dim 9 and p = 5 are valid, and their
+    # one candidate (no slot has degree 1 + 1 = 0 mod 2) is the zero table
+    for spec in (CorpusSpec(p=2, n=2, component_dims=(0, 9)),
+                 CorpusSpec(p=5, n=2, component_dims=(0, 1))):
+        assert validate_spec(spec) is spec
+        result = search(spec)
+        assert (result.candidates, len(result.survivors)) == (1, 1)
     with pytest.raises(InputError):
         validate_spec(CorpusSpec(p=2, n=2, component_dims=(0, 1), mode="random"))
     with pytest.raises(InputError):
@@ -73,6 +98,13 @@ def test_validate_spec_limits():
             CorpusSpec(p=2, n=3, component_dims=(0, 1, 1),
                        selective=SelectiveFilter(1, 2, 1))
         )  # r = 1 has order 1, not q = 2
+
+
+@pytest.mark.parametrize("p, survivors", [(5, 9), (7, 13)])
+def test_exhaustive_search_over_f5_and_f7(p, survivors):
+    # n = 3 divides p - 1: the smallest exhaustive corpora with an order-3 root of unity
+    result = search(CorpusSpec(p=p, n=3, component_dims=(0, 1, 1)))
+    assert (result.candidates, len(result.survivors)) == (p**2, survivors)
 
 
 def test_random_mode_deterministic():

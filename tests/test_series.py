@@ -19,8 +19,9 @@ from alglab import (
     span,
     subspace_product,
 )
+from alglab.linalg import subspace_sum
 from alglab.search import CorpusSpec, search
-from alglab.series import lower_central_series_two_sided, series_of_subalgebra
+from alglab.series import _iterate, series_of_subalgebra
 from conftest import abelian, heisenberg, zero_algebra
 
 
@@ -74,6 +75,12 @@ def _search_survivors():
         spec = CorpusSpec(p=p, n=len(dims), component_dims=dims, alpha=alpha, beta=beta,
                           mode="random", seed=11, samples=4000)
         yield from (s.algebra for s in search(spec).survivors)
+
+
+def lower_central_series_two_sided(A):
+    """g_{k+1} = [g_k, L] + [L, g_k]: the oracle for the one-sided form."""
+    L = A.full_space()
+    return _iterate(L, lambda S: subspace_sum(subspace_product(A, S, L), subspace_product(A, L, S)))
 
 
 def test_one_sided_equals_two_sided_lcs(heis5, lez3, mat2):
