@@ -82,7 +82,7 @@ def make_algebra(p: int, dim: int, table, alpha: int = 1, beta: int = 1) -> Alge
     beta %= p
     if alpha == 0:
         raise InputError("alpha must be nonzero mod p")
-    return Algebra(p, dim, T.copy(), alpha, beta)
+    return Algebra(p, dim, T, alpha, beta)  # T is a new array: % p copies
 
 
 def _products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
@@ -90,8 +90,8 @@ def _products(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray
 
     X and Y are stacks of rows or single vectors, reduced mod p; the result
     has shape X.shape[:-1] + Y.shape[:-1] + (d,).  X is contracted first and
-    reduced mod p before Y is; linalg.matmul falls back to exact object
-    arithmetic when d*(p-1)^2 could overflow int64.
+    reduced mod p before Y is, both by linalg.matmul, exact in int64 for
+    every p < 2^31.
     """
     d = T.shape[0]
     Z = linalg.matmul(X, T.reshape(d, d * d), p).reshape(X.shape[:-1] + (d, d))
@@ -151,7 +151,8 @@ def _identity_defects(tables: np.ndarray, p: int, alpha: int, beta: int,
     (defects, lhs, rhs), indexed by (b, i - lo, j, k): lhs[b,i,j,k] =
     [[b_i,b_j],b_k], rhs[b,i,j,k] = alpha*[b_i,[b_j,b_k]] + beta*[[b_i,b_k],b_j],
     and defects[b,i,j,k] is True where the two differ.  Contractions are
-    exact (linalg.matmul); the work is proportional to hi - lo.
+    exact int64 (linalg.matmul) at every p; the work is proportional to
+    hi - lo, d^4 multiply-adds a row.
     """
     B, d = tables.shape[:2]
     hi = d if hi is None else hi
@@ -171,11 +172,11 @@ def _identity_defects(tables: np.ndarray, p: int, alpha: int, beta: int,
     return (lhs != rhs).any(axis=-1), lhs, rhs
 
 
-def _identity_steps(tables: int, rows: int, d: int, p: int) -> int:
+def _identity_steps(tables: int, rows: int, d: int) -> int:
     """Budget steps of the identity on `rows` basis rows of `tables` tables of
-    dim d: d^4 multiply-adds a row, 256 to a step in int64 and 4 on the exact
-    object path (about 250 ns a multiply-add on dense tables at p = 2^31 - 1)."""
-    return tables * rows * d**4 // (256 if linalg.fits_int64(d, p) else 4)
+    dim d: d^4 multiply-adds a row, 256 to a step at every p (2-8 ns a
+    multiply-add on dense tables, the limb split at p = 2^31 - 1 included)."""
+    return tables * rows * d**4 // 256
 
 
 def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int,
@@ -199,7 +200,7 @@ def _identity_mask(tables: np.ndarray, p: int, alpha: int, beta: int,
         if lo == hi or not index.size:
             continue
         rows = f"row {lo}" if hi - lo == 1 else f"rows {lo}..{hi - 1}"
-        check_work(_identity_steps(index.size, hi - lo, d, p),
+        check_work(_identity_steps(index.size, hi - lo, d),
                    f"the identity on {rows} of {index.size} table(s) of dim {d}")
         if lo and charge is not None:
             charge(index.size)

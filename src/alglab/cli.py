@@ -26,9 +26,6 @@ from .grading import check_grading, nontrivial_components
 from .rdep import d_set, is_r_dependent, rigid_subsequence
 from .series import derived_series, lower_central_series
 
-SEQ_CAP = 6  # desk-scale sequences; rigid's backtracking still branches over the values
-
-
 def _echo(message: str, err: bool = False) -> None:
     """click.echo to the current sys.stdout (or sys.stderr).  Naming the stream
     keeps click from caching a wrapper per stream object: that cache keeps every
@@ -198,11 +195,6 @@ def rdep():
     """Index-sequence dependence queries."""
 
 
-def _cap_len(entries: list[int], what: str):
-    if len(entries) > SEQ_CAP:
-        raise InputError(f"{what} longer than {SEQ_CAP} entries is not accepted on the CLI")
-
-
 def _triple_options(command):
     """--n/--q/--r, passed to command as one NQRTriple that passes the order
     condition."""
@@ -221,9 +213,7 @@ def _triple_options(command):
 @click.option("--json", "as_json", is_flag=True)
 def rdep_dep(nqr: NQRTriple, seq: str, as_json: bool):
     """Decide whether SEQ is r-dependent; prints the first witness if so."""
-    entries = _parse_seq(seq)
-    _cap_len(entries, "sequence")
-    res = is_r_dependent(nqr, entries)
+    res = is_r_dependent(nqr, _parse_seq(seq))
     if as_json:
         _echo(json.dumps({"dependent": res.dependent, "witness": res.witness}))
     elif res.dependent:
@@ -240,15 +230,13 @@ def rdep_dep(nqr: NQRTriple, seq: str, as_json: bool):
 def rdep_dset(nqr: NQRTriple, prefix: str, as_json: bool):
     """Members of the dependence set of PREFIX (all j completing it to a
     dependent sequence)."""
-    entries = _parse_seq(prefix)
-    _cap_len(entries, "prefix")
-    ds = d_set(nqr, entries)
+    ds = d_set(nqr, _parse_seq(prefix))
     members = sorted(ds.members)
     if as_json:
         _echo(json.dumps({"prefix": list(ds.prefix), "members": members, "size": ds.size}))
     else:
         shown = ",".join(str(a) for a in ds.prefix)
-        _echo(f"D({shown}) = {members}  (size {ds.size} <= q^{len(entries) + 1})")
+        _echo(f"D({shown}) = {members}  (size {ds.size} <= q^{len(ds.prefix) + 1})")
     sys.exit(0)
 
 
@@ -259,10 +247,7 @@ def rdep_dset(nqr: NQRTriple, prefix: str, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def rdep_rigid(nqr: NQRTriple, seq: str, m: int, as_json: bool):
     """Find an independent subsequence of length M containing the first entry."""
-    entries = _parse_seq(seq)
-    if m > SEQ_CAP:
-        raise InputError(f"m larger than {SEQ_CAP} is not accepted on the CLI")
-    sub = rigid_subsequence(nqr, entries, m)
+    sub = rigid_subsequence(nqr, _parse_seq(seq), m)
     if as_json:
         _echo(json.dumps({"found": sub is not None, "subsequence": list(sub) if sub else None}))
     elif sub is None:

@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import Algebra, make_algebra
-from .errors import FormatError
+from .errors import FormatError, check_work
 from .frobenius import FrobeniusData, eigen_grading, frobenius_data
 from .grading import Grading, component
 from .modular import is_prime
@@ -115,6 +115,7 @@ def loads(text: str) -> LoadedAlgebra:
     table_doc = _need(doc, "table", "")
     if not isinstance(table_doc, list):
         raise FormatError("table", "expected a list of [i, j, k, coeff] quadruples")
+    check_work(dim**3 // 256, f"a table of dim {dim:,}")  # 256 entries a step, as in search
     T = np.zeros((dim, dim, dim), dtype=np.int64)
     seen: set[tuple[int, int, int]] = set()
     for idx, quad in enumerate(table_doc):

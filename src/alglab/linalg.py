@@ -42,16 +42,23 @@ def inv_scalar(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def fits_int64(inner: int, p: int) -> bool:
-    """True when a mod-p product over an inner axis of this length cannot overflow int64."""
-    return inner * (p - 1) ** 2 < 2**63
+_LIMB_BLOCK = 1 << 15  # inner positions a limb product sums: below 2^15 * 2^16 * 2^31 = 2^62
 
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p; falls back to bignum arithmetic if int64 could overflow."""
-    if fits_int64(A.shape[-1], p):
+    """Exact (A @ B) mod p in int64 for every p < 2^31, broadcast as numpy's @,
+    on entries reduced into [0, p).  One product is exact when inner*(p-1)^2
+    < 2^63.  Otherwise A splits into 16-bit limbs, A = hi*2^16 + lo, and A @ B
+    is ((hi @ B mod p)*2^16 + lo @ B) mod p, summed mod p over inner blocks."""
+    inner = A.shape[-1]
+    if inner * (p - 1) ** 2 < 2**63:
         return (A @ B) % p
-    return np.asarray((A.astype(object) @ B.astype(object)) % p, dtype=np.int64)
+    out = 0
+    for s in range(0, inner, _LIMB_BLOCK):
+        block = slice(s, s + _LIMB_BLOCK)
+        a, b = A[..., block], B[block] if B.ndim == 1 else B[..., block, :]
+        out = (out + ((a >> 16) @ b % p << 16) + (a & 0xFFFF) @ b) % p
+    return out
 
 
 def mat_pow(A: np.ndarray, k: int, p: int) -> np.ndarray:

@@ -180,19 +180,24 @@ def _is_dependent(nqr: NQRTriple, entries: Sequence[int]) -> bool:
 
 def _first_witness(c: _Triple, seq: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically first nonzero exponent tuple whose offsets sum
-    to 0: a greedy walk against the sums reachable from each suffix."""
+    to 0: zeros up to the shortest dependent suffix seq[i:], then a greedy walk
+    against the sums reachable from each later suffix (seq[i] takes the least
+    nonzero exponent).  Charged at _reach's rate: 0.2-1 µs a step, measured
+    for n = 7 to 2^20 and q = 2 to 2^14."""
     n, k = c.n, len(seq)
-    anysum = [c.origin] * (k + 1)   # offset sums of seq[i:]
-    twisted = [c.empty] * (k + 1)   # ... that use a nonzero exponent
-    for i in range(k - 1, -1, -1):
+    check_work(c.work(k), f"a witness of {c.what}")
+    sums, twisted, i = [c.origin], c.empty, k  # offset sums of seq[i:]; those with a twist
+    while i and not c.has(twisted, 0):
+        i -= 1
         offsets, twisting, _ = c[seq[i]]
-        anysum[i] = c.shift(anysum[i + 1], offsets)
-        twisted[i] = c.shift(twisted[i + 1], offsets) | c.shift(anysum[i + 1], twisting)
-    exps, s = [], 0
-    for i, a in enumerate(map(int, seq)):  # numpy entries would overflow the shifts
+        twisted = c.shift(twisted, offsets) | c.shift(sums[-1], twisting)
+        sums.append(c.shift(sums[-1], offsets))
+    exps, s = [0] * i, 0
+    for a in map(int, seq[i:]):  # numpy entries would overflow the shifts
+        sums.pop()  # sums[-1]: the offset sums of the entries after a
         for e, w in enumerate(c.powers):
             t = (w - 1) * a % n
-            if c.has(anysum[i + 1] if e or any(exps) else twisted[i + 1], (-s - t) % n):
+            if (e or len(exps) > i) and c.has(sums[-1], (-s - t) % n):
                 break
         else:
             raise InternalInvariantError(f"no witness continues {tuple(exps)} for {seq}")
@@ -293,28 +298,26 @@ def rigid_subsequence(
     seq = _canonical_entries(nqr, entries)
     c = _constants(nqr.n, nqr.q, nqr.r)
     values = list(dict.fromkeys(seq))
-    chosen = [seq[0]]
     what = f"a rigid search over {len(values)} distinct values for m = {m} at q = {nqr.q}"
     spent = 0
-
-    def extend(start: int) -> bool:
-        nonlocal spent
-        if len(chosen) == m:
-            return True
-        for idx in range(start, len(values)):
-            chosen.append(values[idx])
+    # backtracking on a list: nexts[j] indexes the next value to try after chosen[: j + 1]
+    chosen, nexts = [seq[0]], [1]
+    while len(chosen) < m:
+        if nexts[-1] < len(values):
+            chosen.append(values[nexts[-1]])
+            nexts[-1] += 1
             spent += c.work(len(chosen))
             check_work(spent, what)
             # dependence is inherited by supersequences: safe to prune here
-            if not _is_dependent(nqr, chosen) and extend(idx + 1):
-                return True
-            chosen.pop()
-        return False
-
-    # values[0] == seq[0]; extensions draw from the later distinct values
-    if extend(1):
-        return tuple(chosen)
-    return None
+            if not _is_dependent(nqr, chosen):
+                nexts.append(nexts[-1])
+                continue
+        elif len(nexts) == 1:
+            return None
+        else:  # no later value extends chosen: drop its last entry
+            nexts.pop()
+        chosen.pop()
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def _charge_spec(spec: CorpusSpec) -> None:
         total = spec.samples
         check_work(total * nslots, f"a random search of {total:,} samples over {nslots} slots")
     if spec.identity_filter:  # the later rows are charged on the row-0 survivors
-        check_work(_identity_steps(total, 1, d, spec.p),
+        check_work(_identity_steps(total, 1, d),
                    f"row 0 of the identity on {total:,} candidates of dim {d}")
     check_work(total * d**3 // 256, f"building {total:,} tables of dim {d}")
 
@@ -287,12 +287,12 @@ class _Setup:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def charge(self, tables: int = 0, survivors: int = 0) -> None:
-        d, p = self.spec.dim, self.spec.p
+        d = self.spec.dim
         with self.lock:
             self.tables += tables
             self.survivors += survivors
-            steps = (_identity_steps(self.tables, max(d - 1, 0), d, p)
-                     + _identity_steps(self.survivors, 2 * (d + 1), d, p)
+            steps = (_identity_steps(self.tables, max(d - 1, 0), d)
+                     + _identity_steps(self.survivors, 2 * (d + 1), d)
                      + self.survivors * (_SURVIVOR_STEPS + d**3 // 64))
             what = (f"the work past row 0 of a dim-{d} search ({self.tables:,} tables "
                     f"past row 0, {self.survivors:,} survivors)")

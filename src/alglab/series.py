@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, _products, _subspace_products, subspace_product
-from .errors import InputError
+from .algebra import Algebra, _identity_steps, _products, _subspace_products, subspace_product
+from .errors import InputError, check_work
 from .linalg import Subspace
 
 
@@ -28,9 +28,10 @@ class SeriesResult:
     length: Optional[int]     # derived length / nilpotency class when terms reach zero
 
 
-def _iterate(first: Subspace, step) -> SeriesResult:
+def _iterate(first: Subspace, step, charge=lambda steps: None) -> SeriesResult:
     terms = [first]
     while not terms[-1].is_zero():
+        charge(len(terms))
         nxt = step(terms[-1])
         if nxt == terms[-1]:
             return SeriesResult(tuple(terms), True, None)
@@ -91,12 +92,14 @@ def _stacked_lengths(tables: np.ndarray, p: int) -> tuple[list[Optional[int]], l
 
 
 def series_of_subalgebra(A: Algebra, K: Subspace, kind: str = "lcs") -> SeriesResult:
-    """Lower central or derived series of a subalgebra K inside A."""
-    if kind == "lcs":
-        return _iterate(K, lambda S: subspace_product(A, S, K))
-    if kind == "derived":
-        return _iterate(K, lambda S: subspace_product(A, S, S))
-    raise InputError(f"unknown series kind {kind!r}")
+    """Lower central or derived series of a subalgebra K inside A.  Each step
+    is charged before it runs, with the steps before it, at the identity's
+    rate: d^4 multiply-adds a step."""
+    if kind not in ("lcs", "derived"):
+        raise InputError(f"unknown series kind {kind!r}")
+    return _iterate(K, lambda S: subspace_product(A, S, K if kind == "lcs" else S),
+                    lambda steps: check_work(_identity_steps(1, steps, A.dim),
+                                             f"the {kind} series to step {steps} in dim {A.dim}"))
 
 
 def ideal_closure(A: Algebra, S: Subspace) -> Subspace:

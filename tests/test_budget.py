@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import alglab.errors as errors
 import alglab.search as search_mod
-from alglab import Grading, check_identity_uniform, make_algebra
+from alglab import Grading, check_identity_uniform, lower_central_series, make_algebra
 from alglab.cli import main
 from alglab.formats import loads
 from alglab.frobenius import NQRTriple, eigen_grading, h_permutation_check
@@ -37,6 +37,8 @@ def _right_nested(k):
 
 
 DIM_128 = {"p": 5, "dim": 128, "alpha": 1, "beta": 1, "table": []}
+DIM_240 = {"p": 5, "dim": 240, "alpha": 1, "beta": 1, "table": []}
+DIM_2000 = {"p": 5, "dim": 2000, "alpha": 1, "beta": 1, "table": []}
 # a dim-1 file whose action has n = p - 1: n eigenspaces, and as many images under h
 ACTION_N_10_6 = {"p": 1000003, "dim": 1, "alpha": 1, "beta": 1, "table": [],
                  "action": {"n": 1000002, "q": 1, "r": 1, "phi": [[2]], "h": [[1]]}}
@@ -90,9 +92,9 @@ HANGING = {
     # 200 tables of dim 64, one to a chunk: row 0 alone is 200 * 64^4 multiply-adds
     "search-dim-64": ["search", "--spec", {"p": 5, "n": 3, "component_dims": [0, 1, 63],
                                            "mode": "random", "seed": 1, "samples": 200}],
-    # at p = 2^31 - 1 the identity takes linalg.matmul's exact object path
-    "search-large-p-dim-40": ["search", "--spec", {"p": 2147483647, "n": 3,
-                                                   "component_dims": [0, 0, 40], "mode": "random",
+    # the identity's rate holds at p = 2^31 - 1 too: row 0 fits, rows 1..49 do not
+    "search-large-p-dim-50": ["search", "--spec", {"p": 2147483647, "n": 3,
+                                                   "component_dims": [0, 0, 50], "mode": "random",
                                                    "seed": 1, "samples": 1}],
     **{name: ["search", "--spec", spec] for name, spec in LATE_STAGES.items()},
     # 27,000 slots: the estimate is shown as a power of two, not as 250,000 digits
@@ -102,6 +104,10 @@ HANGING = {
     "search-n-5000": ["search", "--spec", {"p": 2, "n": 5000, "component_dims": [0] + [1] * 4999}],
     # skipped, so exit 2 when requested alone
     "verify-frobenius-n-10^6": ["verify", "frobenius", ACTION_N_10_6],
+    # the first step of the series alone is some 240^4 multiply-adds
+    "series-dim-240": ["series", DIM_240],
+    # the 2000^3 table is charged before it is allocated
+    "check-dim-2000": ["check", DIM_2000],
 }
 
 
@@ -169,10 +175,14 @@ def test_every_entry_point_charges_the_one_budget(monkeypatch):
 
 
 def test_the_identity_certifies_up_to_dim_48_under_the_default_budget():
-    # a zero table of dim 48 is 48^5 / 256 = 995,328 steps; dim 49 is refused
+    # a zero table of dim 48 is 48^5 / 256 = 995,328 steps at every p; dim 49 is
+    # refused.  At p = 2^31 - 1 (linalg.matmul's limb split) dim 22 is certified
+    # within about 0.05 s; dim 48 would take about 1 s
     assert check_identity_uniform(make_algebra(5, 48, np.zeros((48, 48, 48)))).ok
-    with pytest.raises(errors.InputError, match="^the identity on rows 1..48 of 1 table"):
-        check_identity_uniform(make_algebra(5, 49, np.zeros((49, 49, 49))))
+    assert check_identity_uniform(make_algebra(2147483647, 22, np.zeros((22, 22, 22)))).ok
+    for p in (5, 2147483647):
+        with pytest.raises(errors.InputError, match="^the identity on rows 1..48 of 1 table"):
+            check_identity_uniform(make_algebra(p, 49, np.zeros((49, 49, 49))))
 
 
 def test_verify_all_on_an_over_budget_file_exits_2_with_one_error_line(tmp_path):
@@ -284,3 +294,23 @@ def test_the_n_fold_action_loops_are_charged_before_they_run():
         with pytest.raises(errors.InputError, match=message):
             run()
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_table_and_each_series_step_are_charged_before_they_run(monkeypatch):
+    # a filiform algebra of dim 6: [e_0, e_i] = e_(i+1) for 1 <= i <= 4, so its
+    # lower central series falls one rank a step (ranks 6, 4, 3, 2, 1, 0)
+    T = np.zeros((6, 6, 6), dtype=np.int64)
+    for i in range(1, 5):
+        T[0, i, i + 1], T[i, 0, i + 1] = 1, 4
+    A = make_algebra(5, 6, T)
+    assert [t.rank for t in lower_central_series(A).terms] == [6, 4, 3, 2, 1, 0]
+    # each step is 6^4 // 256 = 5 steps on the series' running total
+    monkeypatch.setattr(errors, "WORK_BUDGET", 12)
+    with pytest.raises(errors.InputError, match=re.escape(
+            "the lcs series to step 3 in dim 6 is too large: estimate 15 steps, budget 12")):
+        lower_central_series(A)
+    # 10^3 // 256 = 3 steps for the table of a file of dim 10, before it is allocated
+    monkeypatch.setattr(errors, "WORK_BUDGET", 2)
+    with pytest.raises(errors.InputError, match=re.escape(
+            "a table of dim 10 is too large: estimate 3 steps, budget 2")):
+        loads(json.dumps({"p": 5, "dim": 10, "alpha": 1, "beta": 1, "table": []}))

@@ -168,10 +168,13 @@ class TestRdep:
                                       "--r", "5", "--seq", "1"])
         assert result.exit_code == 2
 
-    def test_dep_length_cap(self, runner):
+    def test_dep_has_no_length_cap(self, runner):
+        # the dependence test and its witness are charged to the work budget,
+        # so no sequence length is refused on its own
         result = runner.invoke(main, ["rdep", "dep", "--n", "7", "--q", "3",
-                                      "--r", "2", "--seq", "1,1,1,1,1,1,1"])
-        assert result.exit_code == 2
+                                      "--r", "2", "--seq", "1,2,3,4,5,6,1"])
+        assert result.exit_code == 0
+        assert result.output == "dependent  witness exponents [0, 0, 0, 0, 0, 1, 1]\n"
 
     def test_dset(self, runner):
         result = runner.invoke(main, ["rdep", "dset", "--n", "7", "--q", "3",
@@ -208,6 +211,18 @@ class TestRdep:
             result = runner.invoke(main, args)
             assert result.exit_code == 2
             assert "q = 2147483646" in result.output
+
+    def test_rigid_deeper_than_the_recursion_limit(self, runner):
+        # at q = 1 nothing is dependent, so the search takes the first m values
+        # without backtracking; its charges refuse m = 1008 (about 1008^2 steps)
+        seq = ",".join(str(x) for x in range(1, 1009))
+        args = ["rdep", "rigid", "--n", "1009", "--q", "1", "--r", "1", "--seq", seq, "--m"]
+        result = runner.invoke(main, args + ["990"])
+        assert result.exit_code == 0
+        assert result.output == ",".join(str(x) for x in range(1, 991)) + "\n"
+        result = runner.invoke(main, args + ["1008"])
+        assert result.exit_code == 2
+        assert "rigid search over 1008 distinct values for m = 1008 at q = 1 is too large" in result.output
 
     def test_rigid_over_budget_exit_2(self, runner):
         seq = ",".join(str(x) for x in range(1, 211))

@@ -3,8 +3,8 @@
 Each oracle below is the basis-pair or basis-triple loop that the library
 used before its table-level work moved onto `_products` and
 `_identity_defects`.  The oracles multiply with exact Python integers, so they
-share no arithmetic with the kernels and also cover the object-dtype path
-taken when d*(p-1)^2 >= 2^63.  The row cascade `_identity_mask` is also
+share no arithmetic with the kernels and also cover linalg.matmul's limb
+split, taken when d*(p-1)^2 >= 2^63.  The row cascade `_identity_mask` is also
 checked against the whole-table `_identity_defects` it replaced in `search`.
 Reports are compared by repr as well as by equality, which pins failure order
 and the Python int types of every field.

@@ -236,3 +236,34 @@ def test_nullspace_of_singular_map():
     N = nullspace(np.array([[1, 1], [2, 2]], dtype=np.int64), 5)
     assert N.rank == 1
     assert member(N, (1, 4))  # (1, -1)
+
+
+def object_matmul(A, B, p):
+    """The exact object-dtype product matmul used past int64: the oracle for
+    its limb split."""
+    return np.asarray((A.astype(object) @ B.astype(object)) % p, dtype=np.int64)
+
+
+# (A shape, B shape): plain, stacked, broadcast as in _subspace_products, a 1-d
+# operand on either side, and an inner axis past 2^16 (as in rewrite.evaluate)
+MATMUL_SHAPES = [
+    ((3, 4), (4, 5)),
+    ((2, 3, 7), (2, 7, 6)),
+    ((2, 3, 7), (1, 7, 12)),
+    ((2, 1, 4, 7), (2, 3, 7, 7)),
+    ((7,), (3, 7, 2)),
+    ((3, 7), (7,)),
+    ((2, 70000), (70000, 3)),
+]
+
+
+@pytest.mark.parametrize("p", [2, 5, 2147483647])
+def test_matmul_matches_the_object_dtype_product(p):
+    rng = np.random.default_rng(p)
+    for a_shape, b_shape in MATMUL_SHAPES:
+        for A, B in ((rng.integers(0, p, a_shape), rng.integers(0, p, b_shape)),
+                     (np.full(a_shape, p - 1), np.full(b_shape, p - 1))):
+            got = matmul(A, B, p)
+            want = object_matmul(A, B, p)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want), (p, a_shape, b_shape)

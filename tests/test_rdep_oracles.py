@@ -16,6 +16,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from math import gcd
 from itertools import product as iproduct
@@ -411,6 +412,21 @@ def test_q_above_the_cap_is_refused():
     for f, seq in ((is_r_dependent, [1, 2]), (d_set, [1]), (is_r_independent, [3])):
         with pytest.raises(InputError, match="q = 2147483646 is too large"):
             f(over, seq)
+
+
+def test_a_witness_after_a_long_zero_prefix_answers_within_a_second():
+    # zero exponents add nothing, so the first witness of a sequence is zeros up
+    # to a dependent suffix, then that suffix's first witness from the scan
+    rng = random.Random(80000)
+    nqr = NQRTriple(7, 3, 2)
+    for seq in ([1] * 80000, [rng.randrange(1, 7) for _ in range(80000)]):
+        tail = next(seq[-k:] for k in range(1, 7)
+                    if oracle_is_r_dependent(nqr, seq[-k:]).dependent)
+        start = time.perf_counter()
+        res = is_r_dependent(nqr, seq)
+        assert time.perf_counter() - start < 1.0
+        want = (0,) * (len(seq) - len(tail)) + oracle_is_r_dependent(nqr, tail).witness
+        assert res == DependenceResult(True, want)
 
 
 # -- roots of unity ------------------------------------------------------------

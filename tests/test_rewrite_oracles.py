@@ -146,7 +146,7 @@ def random_assignment(rng, t, A):
     return {a.name: [rng.randrange(A.p) for _ in range(A.dim)] for a in atoms_of(t)}
 
 
-PRIMES = (2, 3, 5, 11, 2147483647)  # the last one takes the exact object path
+PRIMES = (2, 3, 5, 11, 2147483647)  # the last one takes linalg.matmul's limb split
 
 
 # -- normalize and evaluate on seeded terms ----------------------------------------
@@ -167,7 +167,7 @@ def test_seeded_terms_match_the_recursion(p):
 
 def test_int64_products_with_an_object_coefficient_sum():
     # 4 (p-1)^2 < 2^63 keeps each product on int64, but summing 16 or more
-    # words does not, so only the coefficient step takes the object path
+    # words does not, so only the coefficient step takes the limb split
     p = 1073741789
     assert is_prime(p) and 4 * (p - 1) ** 2 < 2**63 <= 16 * (p - 1) ** 2
     rng = random.Random(p)
