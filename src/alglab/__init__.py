@@ -46,7 +46,6 @@ from .frobenius import (
     fixed_subalgebra,
     frobenius_data,
     h_permutation_check,
-    matrix_order,
     validate_nqr,
 )
 from .grading import (

@@ -14,10 +14,10 @@ Layout (canonical key order as written by save):
 
 Omitted products are zero.  Matrices act on column vectors.  When both
 grading and action blocks are present the declared components must be the
-eigenspace decomposition of phi for the canonical root of unity; anything
-else is rejected at load time.  Saving is canonical (sorted table, fixed key
-order, two-space indent), so load followed by save is byte-identical on
-canonical files.
+eigenspace decomposition of phi for the canonical root of unity omega, that
+is phi = diag(omega^degree) in the file's basis; anything else is rejected
+at load time.  Saving is canonical (sorted table, fixed key order, two-space
+indent), so load followed by save is byte-identical on canonical files.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import numpy as np
 
 from .algebra import Algebra, make_algebra
 from .errors import FormatError, check_work
-from .frobenius import FrobeniusData, eigen_grading, frobenius_data
-from .grading import Grading, component
-from .modular import is_prime
+from .frobenius import FrobeniusData, frobenius_data
+from .grading import Grading
+from .modular import element_of_order, is_prime
 
 PathLike = Union[str, Path]
 
@@ -198,15 +198,18 @@ def loads(text: str) -> LoadedAlgebra:
 
 
 def _check_grading_matches_eigenspaces(A: Algebra, G: Grading, FD: FrobeniusData):
-    egr = eigen_grading(A, FD.phi, FD.triple.n)
-    for i in range(G.n):
-        declared = component(A, G, i)
-        if declared != egr.components[i]:
-            raise FormatError(
-                "grading.degrees",
-                f"component {i} is not the phi-eigenspace for omega^{i} "
-                f"(omega = {egr.omega})",
-            )
+    """Each declared L_i is ker(phi - omega^i) exactly when phi scales every
+    basis vector of degree i by omega^i, as the omega^i are distinct.  A
+    mismatch names the least degree with a basis vector phi does not scale so."""
+    omega = element_of_order(A.p, G.n)
+    scale = np.asarray([pow(omega, i, A.p) for i in G.degrees], dtype=np.int64)
+    wrong = (FD.phi != np.diag(scale)).any(axis=0)
+    if wrong.any():
+        i = min(np.asarray(G.degrees)[wrong].tolist())
+        raise FormatError(
+            "grading.degrees",
+            f"component {i} is not the phi-eigenspace for omega^{i} (omega = {omega})",
+        )
 
 
 def load(path: PathLike) -> LoadedAlgebra:

@@ -112,19 +112,6 @@ def check_automorphism(A: Algebra, g) -> AutomorphismReport:
     return AutomorphismReport(invertible and not failures, invertible, failures)
 
 
-def matrix_order(g, p: int, cap: int = 10_000) -> Optional[int]:
-    """Smallest k >= 1 with g^k = I, by explicit powering; None past cap."""
-    g = linalg.as_mat(g, p)
-    n = g.shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    acc = g % p
-    for k in range(1, cap + 1):
-        if np.array_equal(acc, eye):
-            return k
-        acc = linalg.matmul(acc, g, p)
-    return None
-
-
 def _order_dividing(g: np.ndarray, p: int, n: int) -> Optional[int]:
     """The order of g if it divides n, else None: one mat_pow per prime factor
     test, as multiplicative_order does for scalars."""

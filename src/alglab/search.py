@@ -7,17 +7,19 @@ scalars are exactly the admissible (i, j, k) slots.  Candidates are indexed
 by mixed-radix words over those slots (first slot most significant), which
 makes the stream order deterministic and chunkable.
 
-Slots, their table positions, the grading net and the selective triple are
-set up once per search call.  Each chunk of candidates is then one stack of
-tables: the identity filter checks basis row 0 on the whole stack and the
-other rows only on the tables that pass it; the grading net, the selective
-check and both exact series lengths run on the stack of identity survivors
-at once, never on one survivor at a time.  The work budget bounds every
-stage: what the spec fixes is charged up front, the rest on one running
-total per call as it is made (_charge_spec, _Setup).  Random mode replays
-random.Random(seed).randrange(p) in numpy, draw for draw.  ALGLAB_THREADS > 1
-distributes chunks over a thread pool; chunk results are merged in index
-order so the output stream does not depend on the worker count.
+Slots, their table positions and the selective triple are set up once per
+search call.  Each chunk of candidates is then one stack of tables: the
+identity filter checks basis row 0 on the whole stack and the other rows
+only on the tables that pass it; the selective check and both exact series
+lengths run on the stack of identity survivors at once, never on one
+survivor at a time.  Every table is zero off its slots, so each one is
+graded by construction and no grading check runs.  The work budget bounds
+every stage: what the spec fixes is charged up front, the rest on one
+running total per call as it is made (_charge_spec, _Setup).  Random mode
+replays random.Random(seed).randrange(p) in numpy, draw for draw.
+ALGLAB_THREADS > 1 distributes chunks over a thread pool; chunk results are
+merged in index order so the output stream does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .algebra import Algebra, _identity_mask, _identity_steps
 from .errors import WORK_BUDGET, FormatError, InputError, check_work
-from .formats import LoadedAlgebra, to_document
+from .formats import LoadedAlgebra, _as_int, _need, to_document
 from .frobenius import NQRTriple, validate_nqr
 from .grading import Grading, _graded_entries
 from .modular import check_prime
@@ -66,7 +68,6 @@ class CorpusSpec:
     seed: Optional[int] = None
     samples: int = 0
     identity_filter: bool = True
-    grading_filter: bool = True       # sanity re-check; construction guarantees it
     selective: Optional[SelectiveFilter] = None
 
     @property
@@ -114,32 +115,38 @@ def validate_spec(spec: CorpusSpec) -> CorpusSpec:
 
 
 def spec_from_document(doc: dict) -> CorpusSpec:
+    """The spec a JSON document declares, read as strictly as an algebra file:
+    integers must be JSON integers and the identity flag a JSON boolean."""
     if not isinstance(doc, dict):
         raise FormatError("<document>", "top level must be an object")
-    try:
-        filters = doc.get("filters", {})
-        selective = None
-        if filters.get("selective") is not None:
-            s = filters["selective"]
-            selective = SelectiveFilter(int(s["c"]), int(s["q"]), int(s["r"]))
-        spec = CorpusSpec(
-            p=int(doc["p"]),
-            n=int(doc["n"]),
-            component_dims=tuple(int(d) for d in doc["component_dims"]),
-            alpha=int(doc.get("alpha", 1)),
-            beta=int(doc.get("beta", 1)),
-            mode=str(doc.get("mode", "exhaustive")),
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
-            samples=int(doc.get("samples", 0)),
-            identity_filter=bool(filters.get("identity", True)),
-            grading_filter=bool(filters.get("grading", True)),
-            selective=selective,
-        )
-    except KeyError as exc:
-        raise FormatError(str(exc.args[0]), "missing required field") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError("<document>", str(exc)) from exc
+    filters = _typed(doc.get("filters", {}), dict, "filters", "an object")
+    selective = None
+    if filters.get("selective") is not None:
+        s = _typed(filters["selective"], dict, "filters.selective", "an object")
+        selective = SelectiveFilter(*(_as_int(_need(s, key, "filters.selective"),
+                                              f"filters.selective.{key}") for key in "cqr"))
+    seed = doc.get("seed")
+    spec = CorpusSpec(
+        p=_as_int(_need(doc, "p", ""), "p"),
+        n=_as_int(_need(doc, "n", ""), "n"),
+        component_dims=tuple(_as_int(d, f"component_dims[{i}]") for i, d in enumerate(
+            _typed(_need(doc, "component_dims", ""), list, "component_dims", "a list"))),
+        alpha=_as_int(doc.get("alpha", 1), "alpha"),
+        beta=_as_int(doc.get("beta", 1), "beta"),
+        mode=_typed(doc.get("mode", "exhaustive"), str, "mode", "a string"),
+        seed=None if seed is None else _as_int(seed, "seed"),
+        samples=_as_int(doc.get("samples", 0), "samples"),
+        identity_filter=_typed(filters.get("identity", True), bool, "filters.identity",
+                               "a boolean"),
+        selective=selective,
+    )
     return validate_spec(spec)
+
+
+def _typed(value, kind: type, path: str, what: str):
+    if not isinstance(value, kind):
+        raise FormatError(path, f"expected {what}, got {value!r}")
+    return value
 
 
 def load_spec(path: Union[str, Path]) -> CorpusSpec:
@@ -279,7 +286,6 @@ class _Setup:
 
     spec: CorpusSpec
     slot_index: np.ndarray            # flat table position of each slot
-    off_grade: Optional[np.ndarray]   # flat positions of the slots off deg(i) + deg(j) mod n
     nqr: Optional[NQRTriple]
     grading: Grading
     tables: int = 0                   # past row 0 of the identity
@@ -302,14 +308,10 @@ class _Setup:
 def _setup(spec: CorpusSpec, slots) -> _Setup:
     d = spec.dim
     slot_index = np.asarray([(i * d + j) * d + k for i, j, k in slots], dtype=np.intp)
-    off_grade = None  # tables are zero off their slots: only an off-grade slot can break the law
-    if spec.grading_filter:
-        off = slot_index[~_graded_entries(spec.degrees, spec.n).ravel()[slot_index]]
-        off_grade = off if off.size else None
     nqr = None
     if spec.selective is not None:
         nqr = NQRTriple(spec.n, spec.selective.q, spec.selective.r)
-    return _Setup(spec, slot_index, off_grade, nqr, Grading(spec.n, spec.degrees))
+    return _Setup(spec, slot_index, nqr, Grading(spec.n, spec.degrees))
 
 
 def _survivors_of_chunk(setup: _Setup, start: int, coeffs: np.ndarray) -> list[Survivor]:
@@ -326,10 +328,6 @@ def _survivors_of_chunk(setup: _Setup, start: int, coeffs: np.ndarray) -> list[S
         index = np.flatnonzero(_identity_mask(tables, p, alpha, beta, charge=setup.charge))
     else:
         index = np.arange(B)
-    if setup.off_grade is not None:
-        # unreachable by construction; kept as a cheap sanity net: no entry
-        # of a table may sit off the degree deg(i) + deg(j) mod n
-        index = index[~flat[index[:, None], setup.off_grade].any(axis=1)]
     degrees = setup.grading.degrees
     if setup.nqr is not None and index.size:
         failing = _selective_violations(tables[index], p, degrees, spec.selective.c,

@@ -42,6 +42,8 @@ DIM_2000 = {"p": 5, "dim": 2000, "alpha": 1, "beta": 1, "table": []}
 # a dim-1 file whose action has n = p - 1: n eigenspaces, and as many images under h
 ACTION_N_10_6 = {"p": 1000003, "dim": 1, "alpha": 1, "beta": 1, "table": [],
                  "action": {"n": 1000002, "q": 1, "r": 1, "phi": [[2]], "h": [[1]]}}
+# the same file with its grading declared: omega = 2 is phi's one entry
+GRADED_N_10_6 = {**ACTION_N_10_6, "grading": {"n": 1000002, "degrees": [1]}}
 ACTION_N_2_31 = {"p": 2147483647, "dim": 1, "alpha": 1, "beta": 1, "table": [],
                  "action": {"n": 2147483646, "q": 1, "r": 1, "phi": [[7]], "h": [[1]]}}
 
@@ -104,6 +106,7 @@ HANGING = {
     "search-n-5000": ["search", "--spec", {"p": 2, "n": 5000, "component_dims": [0] + [1] * 4999}],
     # skipped, so exit 2 when requested alone
     "verify-frobenius-n-10^6": ["verify", "frobenius", ACTION_N_10_6],
+    "verify-frobenius-graded-n-10^6": ["verify", "frobenius", GRADED_N_10_6],
     # the first step of the series alone is some 240^4 multiply-adds
     "series-dim-240": ["series", DIM_240],
     # the 2000^3 table is charged before it is allocated
@@ -262,6 +265,18 @@ def test_check_on_an_action_with_large_n_answers_within_a_second(doc, tmp_path):
     assert result.exit_code == 0
     assert result.output == ("identity: pass - product identity holds with (alpha, beta) = (1, 1) "
                              "on all 1 basis triples\ngrading: skipped - no grading block\n")
+
+
+def test_check_on_a_graded_action_with_large_n_answers_within_a_second(tmp_path):
+    # the grading is checked as phi = diag(omega^degree), not by n eigenspaces
+    path = tmp_path / "graded.json"
+    path.write_text(json.dumps(GRADED_N_10_6))
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 0
+    assert result.output.endswith("grading: pass - multiplication respects the grading "
+                                  "on all 1 basis pairs\n")
 
 
 def test_the_running_total_loses_no_update_across_threads(monkeypatch):

@@ -324,6 +324,23 @@ class TestSearch:
         result = runner.invoke(main, ["search", "--spec", str(spec)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("filters", None, "filters"),
+        ("p", 2.9, "p"),
+        ("p", "2", "p"),
+        ("n", True, "n"),
+        ("filters", {"identity": "false"}, "filters.identity"),
+    ])
+    def test_search_spec_fields_are_typed_json(self, runner, tmp_path, field, value, path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"p": 2, "n": 3, "component_dims": [0, 1, 1], field: value}))
+        result = runner.invoke(main, ["search", "--spec", str(spec)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: expected ")
+        assert result.stderr.count("\n") == 1
+
     def test_search_over_f5_exits_0(self, runner, tmp_path):
         # exhaustive mode has no p limit: 5^2 candidates, 9 of them survive
         spec = tmp_path / "spec.json"

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from alglab import FormatError, Grading, check_identity_uniform
+from alglab import FormatError, Grading, InputError, check_identity_uniform, component
+from alglab.frobenius import eigen_grading
 from alglab.formats import (
     ExpectedStats,
     LoadedAlgebra,
@@ -12,6 +14,8 @@ from alglab.formats import (
     save,
     to_document,
 )
+from alglab.linalg import mat_inv, matmul
+from alglab.modular import divisors, element_of_order
 from conftest import FIXTURES, FIXTURE_FILES, heisenberg
 
 
@@ -163,6 +167,57 @@ def test_action_grading_eigenspace_mismatch_rejected():
     with pytest.raises(FormatError) as exc:
         loads(json.dumps(doc))
     assert exc.value.path == "grading.degrees"
+
+
+def eigenspace_mismatch(A, G, fd):
+    """The eigenspace comparison the diagonal check replaced: the least i with
+    declared L_i != ker(phi - omega^i), and omega; None when all agree."""
+    egr = eigen_grading(A, fd.phi, fd.triple.n)
+    bad = [i for i in range(G.n) if component(A, G, i) != egr.components[i]]
+    return (bad[0], egr.omega) if bad else None
+
+
+def test_grading_check_matches_the_eigenspace_comparison():
+    rng = np.random.default_rng(18)
+    outcomes = set()
+    for p in (7, 13, 31):
+        for n in divisors(p - 1)[1:]:
+            dim = int(rng.integers(2, 6))
+            degrees = [1, 0] + rng.integers(0, n, size=dim - 2).tolist()  # phi of order n
+            rng.shuffle(degrees)
+            w = element_of_order(p, n)
+            diag = np.diag([pow(w, d, p) for d in degrees]).astype(np.int64)
+            while True:
+                P = rng.integers(0, p, size=(dim, dim))
+                try:
+                    Pinv = mat_inv(P, p)
+                    break
+                except InputError:
+                    pass
+            swapped = diag.copy()
+            k, l = degrees.index(0), degrees.index(1)
+            swapped[[k, l], [k, l]] = swapped[[l, k], [l, k]]
+            for phi in (diag, matmul(matmul(P, diag, p), Pinv, p), swapped):
+                doc = minimal_doc(p=p, dim=dim, table=[],
+                                  action={"n": n, "q": 1, "r": 1, "phi": phi.tolist(),
+                                          "h": np.eye(dim, dtype=int).tolist()})
+                ungraded = loads(json.dumps(doc))
+                want = eigenspace_mismatch(ungraded.algebra, Grading(n, tuple(degrees)),
+                                           ungraded.action)
+                doc["grading"] = {"n": n, "degrees": degrees}
+                if want is None:
+                    assert loads(json.dumps(doc)).grading.degrees == tuple(degrees)
+                    outcomes.add("pass")
+                    continue
+                with pytest.raises(FormatError) as exc:
+                    loads(json.dumps(doc))
+                assert exc.value.path == "grading.degrees"
+                if want[0] in degrees:
+                    i, omega = want
+                    assert str(exc.value) == (f"grading.degrees: component {i} is not the "
+                                              f"phi-eigenspace for omega^{i} (omega = {omega})")
+                outcomes.add("fail")
+    assert outcomes == {"pass", "fail"}
 
 
 def test_not_json_rejected():

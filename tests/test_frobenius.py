@@ -14,7 +14,6 @@ from alglab import (
     frobenius_data,
     h_permutation_check,
     make_algebra,
-    matrix_order,
     span,
     validate_nqr,
 )
@@ -70,6 +69,19 @@ def test_check_automorphism_swap_fails():
 def test_check_automorphism_singular_matrix(lez3):
     rep = check_automorphism(lez3, np.zeros((2, 2), dtype=np.int64))
     assert not rep.invertible and not rep.ok
+
+
+def matrix_order(g, p: int, cap: int = 10_000):
+    """Smallest k >= 1 with g^k = I, by explicit powering; None past cap.
+    The oracle of _order_dividing."""
+    g = np.asarray(g, dtype=np.int64) % p
+    eye = np.eye(g.shape[0], dtype=np.int64)
+    acc = g
+    for k in range(1, cap + 1):
+        if np.array_equal(acc, eye):
+            return k
+        acc = matmul(acc, g, p)
+    return None
 
 
 def test_matrix_order():

@@ -209,30 +209,6 @@ def test_survivor_documents_verify_cleanly():
         assert nilpotency_class(loaded.algebra) == exp.nilpotency_class
 
 
-def test_grading_filter_is_sanity_net():
-    # construction only emits graded-admissible tables, so enabling the
-    # re-check never changes the survivor set
-    spec_on = CorpusSpec(p=2, n=3, component_dims=(0, 1, 1), grading_filter=True)
-    spec_off = CorpusSpec(p=2, n=3, component_dims=(0, 1, 1), grading_filter=False)
-    assert [s.algebra.table.tobytes() for s in search(spec_on).survivors] == [
-        s.algebra.table.tobytes() for s in search(spec_off).survivors
-    ]
-
-
-def test_grading_filter_drops_off_grade_entries(monkeypatch):
-    import alglab.search as search_mod
-
-    # one slot more than the grading admits: [e1, e1] may touch e1 of degree 1
-    slots = admissible_slots(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1)))
-    monkeypatch.setattr(search_mod, "admissible_slots", lambda spec: slots + [(0, 0, 0)])
-    on = search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1), identity_filter=False))
-    off = search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1), identity_filter=False,
-                            grading_filter=False))
-    assert len(off.survivors) == 8
-    assert [s.index for s in on.survivors] == [s.index for s in off.survivors
-                                               if not s.algebra.table[0, 0, 0]]
-
-
 def test_selective_filter_above_the_q_cap_is_refused():
     # 3 has order 2^16 mod the prime 65537: a valid triple whose q twists
     # are too many for the dependence tests
