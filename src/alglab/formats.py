@@ -64,6 +64,12 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _known_fields(obj: dict, known: str, path: str) -> None:
+    for key in obj:
+        if key not in known.split():
+            raise FormatError(f"{path}.{key}" if path else key, "unknown field")
+
+
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(path, f"expected an integer, got {value!r}")
@@ -93,10 +99,7 @@ def loads(text: str) -> LoadedAlgebra:
     if not isinstance(doc, dict):
         raise FormatError("<document>", "top level must be an object")
 
-    known = {"p", "dim", "alpha", "beta", "table", "grading", "action", "meta"}
-    for key in doc:
-        if key not in known:
-            raise FormatError(key, "unknown field")
+    _known_fields(doc, "p dim alpha beta table grading action meta", "")
 
     p = _as_int(_need(doc, "p", ""), "p")
     if not is_prime(p) or p >= 2**31:

@@ -16,21 +16,15 @@ survivor at a time.  Every table is zero off its slots, so each one is
 graded by construction and no grading check runs.  The work budget bounds
 every stage: what the spec fixes is charged up front, the rest on one
 running total per call as it is made (_charge_spec, _Setup).  Random mode
-replays random.Random(seed).randrange(p) in numpy, draw for draw.
-ALGLAB_THREADS > 1 distributes chunks over a thread pool; chunk results are
-merged in index order so the output stream does not depend on the worker
-count.
+replays random.Random(seed).randrange(p) in numpy, draw for draw.  Chunks
+run in index order on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -38,7 +32,7 @@ import numpy as np
 
 from .algebra import Algebra, _identity_mask, _identity_steps
 from .errors import WORK_BUDGET, FormatError, InputError, check_work
-from .formats import LoadedAlgebra, _as_int, _need, to_document
+from .formats import LoadedAlgebra, _as_int, _known_fields, _need, to_document
 from .frobenius import NQRTriple, validate_nqr
 from .grading import Grading, _graded_entries
 from .modular import check_prime
@@ -116,13 +110,17 @@ def validate_spec(spec: CorpusSpec) -> CorpusSpec:
 
 def spec_from_document(doc: dict) -> CorpusSpec:
     """The spec a JSON document declares, read as strictly as an algebra file:
-    integers must be JSON integers and the identity flag a JSON boolean."""
+    unknown fields are refused, integers must be JSON integers and the
+    identity flag a JSON boolean."""
     if not isinstance(doc, dict):
         raise FormatError("<document>", "top level must be an object")
+    _known_fields(doc, "p n component_dims alpha beta mode seed samples filters", "")
     filters = _typed(doc.get("filters", {}), dict, "filters", "an object")
+    _known_fields(filters, "identity selective", "filters")
     selective = None
     if filters.get("selective") is not None:
         s = _typed(filters["selective"], dict, "filters.selective", "an object")
+        _known_fields(s, "c q r", "filters.selective")
         selective = SelectiveFilter(*(_as_int(_need(s, key, "filters.selective"),
                                               f"filters.selective.{key}") for key in "cqr"))
     seed = doc.get("seed")
@@ -162,12 +160,13 @@ def admissible_slots(spec: CorpusSpec) -> list[tuple[int, int, int]]:
     return [tuple(slot) for slot in np.argwhere(_graded_entries(spec.degrees, spec.n)).tolist()]
 
 
-def _charge_spec(spec: CorpusSpec) -> None:
+def _charge_spec(spec: CorpusSpec) -> int:
     """Charge what the spec alone fixes, before anything of size d^3 is built:
     the candidates of exhaustive mode or the draws of random mode, row 0 of the
     identity on every candidate, and the d^3 entries of every table, 256 to a
-    step.  The slot count is the sum of dims[a] * dims[b] * dims[(a + b) mod n]
-    over the nonzero components, about 0.1 µs a pair."""
+    step.  Return the candidate count.  The slot count is the sum of
+    dims[a] * dims[b] * dims[(a + b) mod n] over the nonzero components, about
+    0.1 µs a pair."""
     dims, n, d = spec.component_dims, spec.n, spec.dim
     nonzero = [a for a in range(n) if dims[a]]
     check_work(len(nonzero) ** 2 // 8, f"counting the slots of {len(nonzero):,} nonzero components")
@@ -182,13 +181,14 @@ def _charge_spec(spec: CorpusSpec) -> None:
         check_work(_identity_steps(total, 1, d),
                    f"row 0 of the identity on {total:,} candidates of dim {d}")
     check_work(total * d**3 // 256, f"building {total:,} tables of dim {d}")
+    return total
 
 
-def candidate_count(spec: CorpusSpec, slots=None) -> int:
-    """Size of the candidate stream; slots, if given, are admissible_slots(spec)."""
+def candidate_count(spec: CorpusSpec) -> int:
+    """Size of the candidate stream."""
     if spec.mode == "random":
         return spec.samples
-    return spec.p ** len(admissible_slots(spec) if slots is None else slots)
+    return spec.p ** len(admissible_slots(spec))
 
 
 def _exhaustive_block(p: int, nslots: int, start: int, stop: int) -> np.ndarray:
@@ -266,14 +266,6 @@ class SearchResult:
     summary: tuple[BucketSummary, ...]
 
 
-def _threads() -> int:
-    raw = os.environ.get("ALGLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class _Setup:
     """What every chunk of one search call shares, built once per call, and the
@@ -282,7 +274,7 @@ class _Setup:
     (at most 2(d + 1) products of d^4 multiply-adds, at the identity's rate),
     its document's d^3 entries and _SURVIVOR_STEPS.  The total follows from
     the two counts alone, so whether a call passes the budget does not depend
-    on its chunks or threads; the printed estimate may."""
+    on its chunks; the printed estimate may."""
 
     spec: CorpusSpec
     slot_index: np.ndarray            # flat table position of each slot
@@ -290,19 +282,16 @@ class _Setup:
     grading: Grading
     tables: int = 0                   # past row 0 of the identity
     survivors: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
     def charge(self, tables: int = 0, survivors: int = 0) -> None:
         d = self.spec.dim
-        with self.lock:
-            self.tables += tables
-            self.survivors += survivors
-            steps = (_identity_steps(self.tables, max(d - 1, 0), d)
-                     + _identity_steps(self.survivors, 2 * (d + 1), d)
-                     + self.survivors * (_SURVIVOR_STEPS + d**3 // 64))
-            what = (f"the work past row 0 of a dim-{d} search ({self.tables:,} tables "
-                    f"past row 0, {self.survivors:,} survivors)")
-        check_work(steps, what)
+        self.tables += tables
+        self.survivors += survivors
+        steps = (_identity_steps(self.tables, max(d - 1, 0), d)
+                 + _identity_steps(self.survivors, 2 * (d + 1), d)
+                 + self.survivors * (_SURVIVOR_STEPS + d**3 // 64))
+        check_work(steps, f"the work past row 0 of a dim-{d} search ({self.tables:,} tables "
+                          f"past row 0, {self.survivors:,} survivors)")
 
 
 def _setup(spec: CorpusSpec, slots) -> _Setup:
@@ -353,37 +342,18 @@ def _survivors_of_chunk(setup: _Setup, start: int, coeffs: np.ndarray) -> list[S
 def search(spec: CorpusSpec) -> SearchResult:
     """Run the full pipeline and collect survivors plus per-bucket maxima."""
     validate_spec(spec)
-    _charge_spec(spec)
+    total = _charge_spec(spec)
     slots = admissible_slots(spec)
-    total = candidate_count(spec, slots)
     # a chunk's row 0 is chunk * dim^4 multiply-adds: keep each chunk within the budget
     chunk = min(CHUNK, max(1, WORK_BUDGET // max(spec.dim, 1) ** 4))
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     stream = _random_stream(spec, len(slots)) if spec.mode == "random" else None
     setup = _setup(spec, slots)
-
-    def run(se):
-        start, stop = se
-        if stream is not None:
-            coeffs = stream[start:stop]
-        else:
-            coeffs = _exhaustive_block(spec.p, len(slots), start, stop)
-        return _survivors_of_chunk(setup, start, coeffs)
-
-    workers = _threads()
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # a few chunks ahead of the one awaited, so a refusal leaves little queued
-            pending: deque = deque()
-            chunks = []
-            for se in ranges:
-                pending.append(pool.submit(run, se))
-                if len(pending) > 2 * workers:
-                    chunks.append(pending.popleft().result())
-            chunks += [f.result() for f in pending]
-    else:
-        chunks = [run(se) for se in ranges]
-    survivors = [s for chunk in chunks for s in chunk]
+    survivors: list[Survivor] = []
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        coeffs = (stream[start:stop] if stream is not None
+                  else _exhaustive_block(spec.p, len(slots), start, stop))
+        survivors += _survivors_of_chunk(setup, start, coeffs)
     return SearchResult(spec, total, tuple(survivors), _summarize(spec, survivors))
 
 

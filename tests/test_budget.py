@@ -2,8 +2,6 @@
 
 import json
 import re
-import sys
-import threading
 import time
 
 import numpy as np
@@ -239,13 +237,10 @@ def test_random_chunks_keep_the_identity_block_in_budget(monkeypatch):
     assert max(seen) * 12 ** 4 <= errors.WORK_BUDGET
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("chunk", [7, 4096])
 @pytest.mark.parametrize("name", LATE_STAGES)
-def test_late_stage_refusal_does_not_depend_on_chunks_or_threads(monkeypatch, name, chunk,
-                                                                 threads):
+def test_late_stage_refusal_does_not_depend_on_chunks(monkeypatch, name, chunk):
     monkeypatch.setattr(search_mod, "CHUNK", chunk)
-    monkeypatch.setenv("ALGLAB_THREADS", threads)
     # survivors are charged before their series run, so the series cannot change
     # the decision; leaving them out halves the test at CHUNK 7
     monkeypatch.setattr(search_mod, "_stacked_lengths",
@@ -277,24 +272,6 @@ def test_check_on_a_graded_action_with_large_n_answers_within_a_second(tmp_path)
     assert result.exit_code == 0
     assert result.output.endswith("grading: pass - multiplication respects the grading "
                                   "on all 1 basis pairs\n")
-
-
-def test_the_running_total_loses_no_update_across_threads(monkeypatch):
-    monkeypatch.setattr(errors, "WORK_BUDGET", 10**12)  # count only
-    setup = search_mod._setup(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1)), [])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=lambda: [setup.charge(1, 2) for _ in range(2000)])
-                   for _ in range(8)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert (setup.tables, setup.survivors) == (16000, 32000)
 
 
 def test_the_n_fold_action_loops_are_charged_before_they_run():

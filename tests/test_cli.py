@@ -324,21 +324,26 @@ class TestSearch:
         result = runner.invoke(main, ["search", "--spec", str(spec)])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("field, value, path", [
-        ("filters", None, "filters"),
-        ("p", 2.9, "p"),
-        ("p", "2", "p"),
-        ("n", True, "n"),
-        ("filters", {"identity": "false"}, "filters.identity"),
+    @pytest.mark.parametrize("field, value, message", [
+        ("filters", None, "filters: expected "),
+        ("p", 2.9, "p: expected "),
+        ("p", "2", "p: expected "),
+        ("n", True, "n: expected "),
+        ("filters", {"identity": "false"}, "filters.identity: expected "),
+        ("sed", 4, "sed: unknown field\n"),
+        ("filters", {"identiy": False}, "filters.identiy: unknown field\n"),
+        ("filters", {"selective": {"c": 1, "q": 2, "r": 2, "s": 0}},
+         "filters.selective.s: unknown field\n"),
+        ("filters", {"grading": False}, "filters.grading: unknown field\n"),
     ])
-    def test_search_spec_fields_are_typed_json(self, runner, tmp_path, field, value, path):
+    def test_search_spec_fields_are_typed_json(self, runner, tmp_path, field, value, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"p": 2, "n": 3, "component_dims": [0, 1, 1], field: value}))
         result = runner.invoke(main, ["search", "--spec", str(spec)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert result.stdout == ""
-        assert result.stderr.startswith(f"error: {path}: expected ")
+        assert result.stderr.startswith(f"error: {message}")
         assert result.stderr.count("\n") == 1
 
     def test_search_over_f5_exits_0(self, runner, tmp_path):

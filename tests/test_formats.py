@@ -109,8 +109,9 @@ def test_grading_degree_out_of_range_rejected():
 
 
 def test_unknown_top_level_field_rejected():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         loads(json.dumps(minimal_doc(extra=1)))
+    assert str(exc.value) == "extra: unknown field"
 
 
 def test_action_block_fully_validated():

@@ -124,28 +124,33 @@ def test_random_mode_deterministic():
     ] != [s.algebra.table.tobytes() for s in c.survivors]
 
 
-def test_thread_count_does_not_change_output(monkeypatch):
-    spec = CorpusSpec(p=2, n=3, component_dims=(0, 2, 1))
-    monkeypatch.setenv("ALGLAB_THREADS", "1")
-    seq = search(spec)
-    monkeypatch.setenv("ALGLAB_THREADS", "4")
-    par = search(spec)
-    assert [s.algebra.table.tobytes() for s in seq.survivors] == [
-        s.algebra.table.tobytes() for s in par.survivors
-    ]
-    assert seq.summary == par.summary
+def test_every_chunk_runs_on_the_calling_thread(monkeypatch):
+    import threading
+
+    import alglab.search as search_mod
+
+    idents = []
+    chunk = search_mod._survivors_of_chunk
+
+    def spy(*args):
+        idents.append(threading.get_ident())
+        return chunk(*args)
+
+    monkeypatch.setattr(search_mod, "_survivors_of_chunk", spy)
+    monkeypatch.setattr(search_mod, "CHUNK", 7)
+    monkeypatch.setenv("ALGLAB_THREADS", "4")  # search reads no thread count
+    assert search(CorpusSpec(p=2, n=3, component_dims=(0, 2, 1))).candidates == 2**6
+    assert idents == [threading.get_ident()] * 10
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("chunk", [7, 4096])
-def test_random_stream_independent_of_chunking_and_threads(monkeypatch, chunk, threads):
+def test_random_stream_independent_of_chunks(monkeypatch, chunk):
     import alglab.search as search_mod
 
     spec = CorpusSpec(p=3, n=3, component_dims=(0, 1, 1), mode="random",
                       seed=99, samples=500)
     want = search(spec)
     monkeypatch.setattr(search_mod, "CHUNK", chunk)
-    monkeypatch.setenv("ALGLAB_THREADS", threads)
     got = search(spec)
     assert len(want.survivors) > 1
     assert [s.index for s in got.survivors] == [s.index for s in want.survivors]
