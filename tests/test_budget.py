@@ -237,7 +237,7 @@ def test_random_chunks_keep_the_identity_block_in_budget(monkeypatch):
     assert max(seen) * 12 ** 4 <= errors.WORK_BUDGET
 
 
-@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("chunk", [7, 1000, 4096])
 @pytest.mark.parametrize("name", LATE_STAGES)
 def test_late_stage_refusal_does_not_depend_on_chunks(monkeypatch, name, chunk):
     monkeypatch.setattr(search_mod, "CHUNK", chunk)

@@ -143,7 +143,26 @@ def test_every_chunk_runs_on_the_calling_thread(monkeypatch):
     assert idents == [threading.get_ident()] * 10
 
 
-@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("chunk", [1, 7, 63, 64])
+def test_exhaustive_stream_independent_of_chunks(monkeypatch, chunk):
+    import alglab.search as search_mod
+
+    # 2^6 candidates: one chunk at the default CHUNK, 64 at CHUNK 1, and one
+    # short last chunk at CHUNK 7 and 63
+    spec = CorpusSpec(p=2, n=3, component_dims=(0, 2, 1))
+    want = search(spec)
+    monkeypatch.setattr(search_mod, "CHUNK", chunk)
+    got = search(spec)
+    assert got.candidates == want.candidates == 2**6
+    assert len(want.survivors) > 1
+    assert [s.index for s in got.survivors] == [s.index for s in want.survivors]
+    assert [s.algebra.table.tobytes() for s in got.survivors] == [
+        s.algebra.table.tobytes() for s in want.survivors
+    ]
+    assert got.summary == want.summary
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 499, 500, 4096])
 def test_random_stream_independent_of_chunks(monkeypatch, chunk):
     import alglab.search as search_mod
 
