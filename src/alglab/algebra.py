@@ -236,17 +236,6 @@ def check_identity_uniform(A: Algebra) -> IdentityReport:
     return IdentityReport(not witnesses, A.dim**3, tuple(w for _, w in witnesses))
 
 
-def identity_holds_for(A: Algebra, a, b, c, alpha: int | None = None,
-                       beta: int | None = None) -> bool:
-    """Evaluate the identity on one concrete element triple."""
-    alpha = A.alpha if alpha is None else alpha % A.p
-    beta = A.beta if beta is None else beta % A.p
-    lhs = product(A, product(A, a, b), c)
-    rhs = (alpha * product(A, a, product(A, b, c))
-           + beta * product(A, product(A, a, c), b)) % A.p
-    return bool(np.array_equal(lhs, rhs))
-
-
 def solve_alpha_beta(A: Algebra, a, b, c) -> Optional[tuple[int, int]]:
     """Solve [[a,b],c] = alpha*[a,[b,c]] + beta*[[a,c],b] for one triple.
 

@@ -177,7 +177,7 @@ def frobenius_validate(n: int, q: int, r: int, as_json: bool):
 @click.argument("file", type=click.Path())
 @click.option("--json", "as_json", is_flag=True)
 def frobenius_grade(file: str, as_json: bool):
-    """Compute the eigenspace grading of FILE's phi and check the h-permutation."""
+    """Report the eigen-grading of FILE's phi and h's permutation of its components."""
     loaded = _read(formats.load, file)
     if loaded.action is None:
         raise InputError("file has no action block")

@@ -4,7 +4,8 @@ permutation of components by the second generator.
 Matrices act on column vectors (x -> g @ x).  The compatibility law between
 the two generators is the conjugation identity h^{-1} phi h = phi^r, which is
 exactly what makes h map the phi-eigenspace of omega^i onto that of
-omega^{r*i}.
+omega^{r*i}.  frobenius_data checks that law once, at load; eigen_grading and
+h_permutation_check recompute the n components for callers that want them.
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ def fixed_subalgebra(A: Algebra, gens: Sequence) -> Subspace:
 
 @dataclass(frozen=True)
 class FrobeniusData:
+    """An action package as frobenius_data validates it.  verify's frobenius
+    check relies on it coming from there: it reads the eigen-grading off the
+    checks made at load and computes only omega and ker(phi - 1)."""
+
     triple: NQRTriple
     phi: np.ndarray
     h: np.ndarray

@@ -184,13 +184,6 @@ def _charge_spec(spec: CorpusSpec) -> int:
     return total
 
 
-def candidate_count(spec: CorpusSpec) -> int:
-    """Size of the candidate stream."""
-    if spec.mode == "random":
-        return spec.samples
-    return spec.p ** len(admissible_slots(spec))
-
-
 def _exhaustive_block(p: int, nslots: int, start: int, stop: int) -> np.ndarray:
     """Mixed-radix digits of indices [start, stop) as a (stop-start, nslots) array."""
     out = np.zeros((stop - start, nslots), dtype=np.int64)

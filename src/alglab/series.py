@@ -94,12 +94,21 @@ def _stacked_lengths(tables: np.ndarray, p: int) -> tuple[list[Optional[int]], l
 def series_of_subalgebra(A: Algebra, K: Subspace, kind: str = "lcs") -> SeriesResult:
     """Lower central or derived series of a subalgebra K inside A.  Each step
     is charged before it runs, with the steps before it, at the identity's
-    rate: d^4 multiply-adds a step."""
+    rate: d^4 multiply-adds a step.  A proper K is refused unless [K, K] <= K,
+    a product charged as step 1; a K that is not closed could make the terms
+    cycle."""
     if kind not in ("lcs", "derived"):
         raise InputError(f"unknown series kind {kind!r}")
-    return _iterate(K, lambda S: subspace_product(A, S, K if kind == "lcs" else S),
-                    lambda steps: check_work(_identity_steps(1, steps, A.dim),
-                                             f"the {kind} series to step {steps} in dim {A.dim}"))
+
+    def charge(steps):
+        check_work(_identity_steps(1, steps, A.dim),
+                   f"the {kind} series to step {steps} in dim {A.dim}")
+
+    if K.rank < A.dim:
+        charge(1)
+        if not linalg.is_subspace_of(subspace_product(A, K, K), K):
+            raise InputError("K is not a subalgebra: [K, K] is not contained in K")
+    return _iterate(K, lambda S: subspace_product(A, S, K if kind == "lcs" else S), charge)
 
 
 def ideal_closure(A: Algebra, S: Subspace) -> Subspace:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alglab import make_algebra
+from alglab import make_algebra, product
 from alglab.modular import element_of_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -66,6 +66,17 @@ def zero_algebra(p=2):
 def random_elements(rng, p, dim, count):
     return [np.asarray([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
             for _ in range(count)]
+
+
+def identity_holds_for(A, a, b, c, alpha=None, beta=None):
+    """The identity on one element triple: the element-level oracle of the
+    basis-triple certificate check_identity_uniform."""
+    alpha = A.alpha if alpha is None else alpha % A.p
+    beta = A.beta if beta is None else beta % A.p
+    lhs = product(A, product(A, a, b), c)
+    rhs = (alpha * product(A, a, product(A, b, c))
+           + beta * product(A, product(A, a, c), b)) % A.p
+    return bool(np.array_equal(lhs, rhs))
 
 
 @pytest.fixture

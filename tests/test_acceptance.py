@@ -29,13 +29,12 @@ from alglab import (
     span,
     validate_nqr,
 )
-from alglab.algebra import identity_holds_for
 from alglab.formats import load
 from alglab.modular import multiplicative_order
 from alglab.rewrite import evaluate, normalize_in
 from alglab.search import CorpusSpec, search
 from alglab.series import series_of_subalgebra
-from conftest import FIXTURES, leibniz2, random_elements
+from conftest import FIXTURES, identity_holds_for, leibniz2, random_elements
 
 
 def report(num, title, ok):

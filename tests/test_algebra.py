@@ -12,8 +12,7 @@ from alglab import (
     span,
     subspace_product,
 )
-from alglab.algebra import identity_holds_for
-from conftest import abelian, random_elements, zero_algebra
+from conftest import abelian, identity_holds_for, random_elements, zero_algebra
 
 
 def test_product_heisenberg_table_lookup(heis5):

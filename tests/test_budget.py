@@ -37,7 +37,7 @@ def _right_nested(k):
 DIM_128 = {"p": 5, "dim": 128, "alpha": 1, "beta": 1, "table": []}
 DIM_240 = {"p": 5, "dim": 240, "alpha": 1, "beta": 1, "table": []}
 DIM_2000 = {"p": 5, "dim": 2000, "alpha": 1, "beta": 1, "table": []}
-# a dim-1 file whose action has n = p - 1: n eigenspaces, and as many images under h
+# a dim-1 file whose action has n = p - 1: eigen_grading would split L by n eigenvalues
 ACTION_N_10_6 = {"p": 1000003, "dim": 1, "alpha": 1, "beta": 1, "table": [],
                  "action": {"n": 1000002, "q": 1, "r": 1, "phi": [[2]], "h": [[1]]}}
 # the same file with its grading declared: omega = 2 is phi's one entry
@@ -102,9 +102,6 @@ HANGING = {
                                                        "component_dims": [30]}],
     # 4,999^2 pairs of components to count the slots from
     "search-n-5000": ["search", "--spec", {"p": 2, "n": 5000, "component_dims": [0] + [1] * 4999}],
-    # skipped, so exit 2 when requested alone
-    "verify-frobenius-n-10^6": ["verify", "frobenius", ACTION_N_10_6],
-    "verify-frobenius-graded-n-10^6": ["verify", "frobenius", GRADED_N_10_6],
     # the first step of the series alone is some 240^4 multiply-adds
     "series-dim-240": ["series", DIM_240],
     # the 2000^3 table is charged before it is allocated
@@ -272,6 +269,24 @@ def test_check_on_a_graded_action_with_large_n_answers_within_a_second(tmp_path)
     assert result.exit_code == 0
     assert result.output.endswith("grading: pass - multiplication respects the grading "
                                   "on all 1 basis pairs\n")
+
+
+@pytest.mark.parametrize("doc", [ACTION_N_10_6, GRADED_N_10_6, ACTION_N_2_31],
+                         ids=["n-10^6", "graded-n-10^6", "n-2^31"])
+def test_frobenius_on_an_action_with_large_n_answers_within_a_second(doc, tmp_path):
+    # the loader has proved the n-fold grading and h's permutation of it; the
+    # check computes omega and ker(phi - 1) alone.  omega is phi's one entry
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(doc))
+    n, (omega,) = doc["action"]["n"], doc["action"]["phi"][0]
+    line = (f"frobenius: pass - eigen-grading with omega = {omega}; fixed space rank 0; "
+            f"h permutes components by i -> 1*i mod {n}\n")
+    for args in (["verify", "frobenius", str(path)], ["frobenius", "grade", str(path)]):
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert result.output == line
 
 
 def test_the_n_fold_action_loops_are_charged_before_they_run():

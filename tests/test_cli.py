@@ -63,7 +63,7 @@ class TestCheck:
         def refuse(*args):
             raise AssertionError("check must not run this")
 
-        for fn in ("derived_length", "nilpotency_class", "d_set", "eigen_grading",
+        for fn in ("derived_length", "nilpotency_class", "d_set", "element_of_order",
                    "index_split_check"):
             monkeypatch.setattr(alglab.verify, fn, refuse)
         identity = ("product identity holds with (alpha, beta) = (1, 1) "
@@ -137,6 +137,20 @@ class TestFrobenius:
                                       fixture("abelian2_f7_action.json")])
         assert result.exit_code == 0
         assert "omega = 2" in result.output
+
+    @pytest.mark.parametrize("args", [["verify", "frobenius"], ["frobenius", "grade"]])
+    def test_an_h_that_breaks_the_conjugation_law_is_refused_at_load(self, runner, tmp_path,
+                                                                     args):
+        # h = diag(1, -1) has order 2 and fixes both eigenspaces of phi = diag(2, 4),
+        # where r = 2 asks it to swap them
+        path = tmp_path / "untwisted.json"
+        path.write_text(json.dumps({
+            "p": 7, "dim": 2, "alpha": 1, "beta": 1, "table": [],
+            "action": {"n": 3, "q": 2, "r": 2, "phi": [[2, 0], [0, 4]], "h": [[1, 0], [0, 6]]},
+        }))
+        result = runner.invoke(main, args + [str(path)])
+        assert result.exit_code == 2
+        assert result.output == "error: action: conjugation law h^-1 phi h = phi^r fails\n"
 
     def test_grade_without_action(self, runner):
         result = runner.invoke(main, ["frobenius", "grade",

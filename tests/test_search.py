@@ -8,7 +8,6 @@ from alglab.search import (
     CorpusSpec,
     SelectiveFilter,
     admissible_slots,
-    candidate_count,
     load_spec,
     search,
     spec_from_document,
@@ -21,7 +20,7 @@ def test_admissible_slots_respect_grading():
     slots = admissible_slots(spec)
     # degrees (1, 2): only (e1,e1)->e2 and (e2,e2)->e1 are graded-admissible
     assert slots == [(0, 0, 1), (1, 1, 0)]
-    assert candidate_count(spec) == 4
+    assert search(spec).candidates == 4
 
 
 def oracle_slots(spec):

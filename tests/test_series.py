@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,39 @@ def test_series_of_subalgebra(heis5):
     K = span([(1, 0, 0), (0, 0, 1)], 5)  # abelian subalgebra <e, z>
     res = series_of_subalgebra(heis5, K, "lcs")
     assert res.length == 1
+
+
+@pytest.mark.parametrize("kind", ["lcs", "derived"])
+def test_series_of_a_subspace_not_closed_under_the_product_is_refused(kind):
+    # in the 2x2 matrices over F_2, [K, K] leaves K = <E11 + E12 + E22, E21>:
+    # the lcs terms of this K cycled until the budget refused them
+    from alglab.formats import load
+    from conftest import FIXTURES
+
+    A = load(FIXTURES / "mat2x2_f2.json").algebra
+    K = span([(1, 1, 0, 1), (0, 0, 1, 0)], 2)
+    start = time.perf_counter()
+    message = r"^K is not a subalgebra: \[K, K\] is not contained in K$"
+    with pytest.raises(InputError, match=message):
+        series_of_subalgebra(A, K, kind)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_series_of_the_whole_algebra_take_no_closure_product(monkeypatch, heis5):
+    import alglab.series
+
+    calls = []
+    product = alglab.series.subspace_product
+    monkeypatch.setattr(alglab.series, "subspace_product",
+                        lambda *args: calls.append(1) or product(*args))
+    # ranks 3, 1, 0: two products a series, and one more for a proper K
+    for series in (derived_series, lower_central_series):
+        calls.clear()
+        assert series(heis5).length == 2
+        assert len(calls) == 2
+    calls.clear()
+    assert series_of_subalgebra(heis5, span([(1, 0, 0), (0, 0, 1)], 5), "lcs").length == 1
+    assert len(calls) == 2
 
 
 def test_bound_calculators():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -213,3 +214,122 @@ def test_facts_keeps_one_report_per_argument_tuple():
     assert facts(check_grading, flat) == check_grading(loaded.algebra, flat)
     assert not facts(check_grading, flat).ok
     assert facts(check_grading, G).ok
+
+
+def oracle_frobenius_check(loaded):
+    """The frobenius check as it stood when it recomputed the action: n
+    eigenspaces by eigen_grading, then their images under h.  The check now
+    reads both off what frobenius_data proved at load."""
+    from alglab import InputError
+    from alglab.errors import check_work
+    from alglab.frobenius import _component_steps, _untwisted_components, eigen_grading
+    from alglab.verify import CheckResult
+
+    name = "frobenius"
+    A, fd = loaded.algebra, loaded.action
+    if fd is None:
+        return CheckResult(name, Status.SKIPPED, "no action block")
+    try:
+        check_work(2 * _component_steps(fd.triple.n, A.dim),
+                   f"the frobenius check over {fd.triple.n:,} eigenvalues")
+    except InputError as exc:
+        return CheckResult(name, Status.SKIPPED, str(exc))
+    try:
+        egr = eigen_grading(A, fd.phi, fd.triple.n)
+    except AlgLabError as exc:
+        return CheckResult(name, Status.VIOLATION, f"eigenspace decomposition failed: {exc}")
+    failures = _untwisted_components(egr.components, fd.h, fd.triple.r)
+    if failures:
+        return CheckResult(name, Status.VIOLATION,
+                           f"h does not map components {failures} to their twisted targets")
+    zero_rank = egr.components[0].rank
+    return CheckResult(
+        name, Status.PASS,
+        f"eigen-grading with omega = {egr.omega}; fixed space rank {zero_rank}; "
+        f"h permutes components by i -> {fd.triple.r}*i mod {fd.triple.n}",
+        {"omega": egr.omega, "fixed_rank": zero_rank},
+    )
+
+
+def _quads(T):
+    return [[int(i) + 1, int(j) + 1, int(k) + 1, int(T[i, j, k])] for i, j, k in np.argwhere(T)]
+
+
+def _twisted_doc(rng, p, n, q, r, base_degrees):
+    """q copies of a random table graded by base_degrees mod n, copy s graded by
+    r^s * degree; phi acts by omega^degree and h shifts copy s onto copy s + 1,
+    so h^-1 phi h = phi^r."""
+    from alglab.modular import element_of_order
+
+    db = len(base_degrees)
+    base = np.zeros((db, db, db), dtype=np.int64)
+    for i, j, k in np.ndindex(db, db, db):
+        if base_degrees[k] == (base_degrees[i] + base_degrees[j]) % n:
+            base[i, j, k] = rng.randrange(p)
+    dim = q * db
+    T = np.zeros((dim, dim, dim), dtype=np.int64)
+    for s in range(q):
+        T[s * db:(s + 1) * db, s * db:(s + 1) * db, s * db:(s + 1) * db] = base
+    degrees = [pow(r, s, n) * d % n for s in range(q) for d in base_degrees]
+    omega = element_of_order(p, n)
+    h = np.roll(np.eye(dim, dtype=np.int64), db, axis=0)
+    return {"p": p, "dim": dim, "alpha": 1, "beta": 1, "table": _quads(T),
+            "grading": {"n": n, "degrees": degrees},
+            "action": {"n": n, "q": q, "r": r,
+                       "phi": np.diag([pow(omega, d, p) for d in degrees]).tolist(),
+                       "h": h.tolist()}}
+
+
+def _rebased(doc, rng):
+    """doc in the basis given by the columns of a dense random P, with phi -> P^-1 phi P
+    (and h alike) and no grading block: phi is no longer diagonal."""
+    from alglab.linalg import mat_inv, matmul, nullspace
+
+    p, d = doc["p"], doc["dim"]
+    while True:
+        P = np.asarray([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+        if nullspace(P, p).is_zero():
+            break
+    Q = mat_inv(P, p)
+    T = np.zeros((d, d, d), dtype=np.int64)
+    for i, j, k, c in doc["table"]:
+        T[i - 1, j - 1, k - 1] = c
+    X = matmul(P.T, T.reshape(d, d * d), p).reshape(d, d, d)  # [a, j, k]
+    Y = np.stack([matmul(P.T, X[a], p) for a in range(d)])     # [a, b, k]
+    T = matmul(Y.reshape(d * d, d), Q.T, p).reshape(d, d, d)   # [c_a, c_b] in the new basis
+    act = dict(doc["action"])
+    for key in ("phi", "h"):
+        act[key] = matmul(matmul(Q, np.asarray(act[key], dtype=np.int64), p), P, p).tolist()
+    out = {k: v for k, v in doc.items() if k != "grading"}
+    return dict(out, table=_quads(T), action=act)
+
+
+FROBENIUS_CASES = {  # p: the valid (n, q, r) with n | p - 1 to twist over
+    7: ((3, 2, 2), (6, 1, 1), (2, 1, 1)),
+    13: ((3, 2, 2), (4, 1, 1), (12, 1, 1)),
+    31: ((5, 2, 4), (5, 4, 2), (15, 2, 14), (3, 2, 2)),
+    2147483647: ((7, 3, 2), (3, 2, 2), (11, 5, 3)),
+}
+
+
+@pytest.mark.parametrize("p", FROBENIUS_CASES)
+def test_frobenius_check_matches_the_eigenspace_oracle(p):
+    rng = random.Random(p)
+    docs = [_rebased(json.loads((FIXTURES / "abelian2_f7_action.json").read_text()), rng)]
+    for n, q, r in FROBENIUS_CASES[p]:
+        for db in (1, 2, 3):
+            # degree 1 gives phi order exactly n
+            doc = _twisted_doc(rng, p, n, q, r, [1] + [rng.randrange(n) for _ in range(db - 1)])
+            docs += [doc, _rebased(doc, rng)]
+    for doc in docs:
+        loaded = loads(json.dumps(doc))
+        assert verify(loaded, "frobenius").results == (oracle_frobenius_check(loaded),), doc
+    ranks = {verify(loads(json.dumps(doc)), "frobenius").results[0].details["fixed_rank"]
+             for doc in docs}
+    assert len(ranks) > 1  # some cases have a degree-0 component
+
+
+@pytest.mark.parametrize("source", FIXTURE_FILES + ["twisted-heisenberg"])
+def test_frobenius_check_matches_the_oracle_on_the_fixtures(source):
+    loaded = _twisted_heisenberg() if source == "twisted-heisenberg" else load(FIXTURES / source)
+    assert verify(loaded, "frobenius").results == (oracle_frobenius_check(loaded),)
