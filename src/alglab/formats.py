@@ -70,6 +70,15 @@ def _known_fields(obj: dict, known: str, path: str) -> None:
             raise FormatError(f"{path}.{key}" if path else key, "unknown field")
 
 
+def _block(obj: dict, key: str, known: str, path: str = "") -> dict:
+    """obj[key], which must be an object with no field outside known."""
+    path = f"{path}.{key}" if path else key
+    if not isinstance(obj[key], dict):
+        raise FormatError(path, "expected an object")
+    _known_fields(obj[key], known, path)
+    return obj[key]
+
+
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(path, f"expected an integer, got {value!r}")
@@ -139,9 +148,7 @@ def loads(text: str) -> LoadedAlgebra:
 
     G: Optional[Grading] = None
     if "grading" in doc:
-        g = doc["grading"]
-        if not isinstance(g, dict):
-            raise FormatError("grading", "expected an object")
+        g = _block(doc, "grading", "n degrees")
         n = _as_int(_need(g, "n", "grading"), "grading.n")
         if n < 1:
             raise FormatError("grading.n", f"n must be >= 1, got {n}")
@@ -158,9 +165,7 @@ def loads(text: str) -> LoadedAlgebra:
 
     FD: Optional[FrobeniusData] = None
     if "action" in doc:
-        a = doc["action"]
-        if not isinstance(a, dict):
-            raise FormatError("action", "expected an object")
+        a = _block(doc, "action", "n q r phi h")
         n = _as_int(_need(a, "n", "action"), "action.n")
         q = _as_int(_need(a, "q", "action"), "action.q")
         r = _as_int(_need(a, "r", "action"), "action.r")
@@ -177,24 +182,15 @@ def loads(text: str) -> LoadedAlgebra:
 
     M: Optional[Meta] = None
     if "meta" in doc:
-        m = doc["meta"]
-        if not isinstance(m, dict):
-            raise FormatError("meta", "expected an object")
+        m = _block(doc, "meta", "name expected")
         name = m.get("name")
         if name is not None and not isinstance(name, str):
             raise FormatError("meta.name", "expected a string")
         expected = None
         if "expected" in m:
-            e = m["expected"]
-            if not isinstance(e, dict):
-                raise FormatError("meta.expected", "expected an object")
-            dl = e.get("derived_length")
-            nc = e.get("nilpotency_class")
-            if dl is not None:
-                dl = _as_int(dl, "meta.expected.derived_length")
-            if nc is not None:
-                nc = _as_int(nc, "meta.expected.nilpotency_class")
-            expected = ExpectedStats(dl, nc)
+            e = _block(m, "expected", "derived_length nilpotency_class", "meta")
+            expected = ExpectedStats(**{k: _as_int(e[k], f"meta.expected.{k}") for k in
+                                        ("derived_length", "nilpotency_class") if e.get(k) is not None})
         M = Meta(name, expected)
 
     return LoadedAlgebra(A, G, FD, M)

@@ -4,14 +4,15 @@ permutation of components by the second generator.
 Matrices act on column vectors (x -> g @ x).  The compatibility law between
 the two generators is the conjugation identity h^{-1} phi h = phi^r, which is
 exactly what makes h map the phi-eigenspace of omega^i onto that of
-omega^{r*i}.  frobenius_data checks that law once, at load; eigen_grading and
-h_permutation_check recompute the n components for callers that want them.
+omega^{r*i}.  frobenius_data checks that law once, at load; only eigen_grading
+recomputes the n components, for callers that want them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     UnsupportedFieldError,
     check_work,
 )
-from .grading import Grading, check_grading, component
+from .grading import Grading, _check_dims, check_grading
 from .linalg import Subspace
 from .modular import _prime_factors, divisors, element_of_order, multiplicative_order
 
@@ -263,26 +264,31 @@ class PermutationReport:
 
 
 def h_permutation_check(A: Algebra, G: Grading, fd: FrobeniusData) -> PermutationReport:
-    """Verify h maps each component L_i onto L_{r*i mod n}.
+    """Verify h maps each component L_i onto L_{r*i mod n}, reading the
+    degree vector alone.
 
-    A and G must live in the same basis as fd's matrices.
+    A and G live in the same basis as fd's matrices, and fd comes from
+    frobenius_data, so h is invertible and validate_nqr forces gcd(r, n) = 1.
+    Column j of h is the image of b_j, which must lie in L_{r*deg(j)}; an
+    entry h[k, j] != 0 with deg(k) != r*deg(j) is stray and fails deg(j).
+    If h maps every L_i into L_{r*i}, injectivity gives dim L_i <= dim
+    L_{r*i}, so it maps L_i onto L_{r*i} exactly when the two counts of basis
+    vectors are equal; that also catches an i with L_i = 0 but L_{r*i} != 0.
+    Such an i occurs or is r^-1 times a degree that occurs, so no walk over
+    Z/n is needed; checked is still n.
     """
     n, r = fd.triple.n, fd.triple.r
     if G.n != n:
         raise InputError(f"grading modulus {G.n} != action modulus {n}")
-    check_work(2 * _component_steps(n, A.dim), f"the h-permutation check over {n:,} components")
-    comps = tuple(component(A, G, i) for i in range(n))
-    failures = tuple(
-        PermutationFailure(i, (r * i) % n) for i in _untwisted_components(comps, fd.h, r)
-    )
+    _check_dims(A, G)
+    if gcd(r, n) != 1:
+        raise InputError(f"r = {r} is not a unit mod n = {n}")
+    r_inv = pow(r, -1, n)
+    deg = np.asarray(G.degrees, dtype=np.int64)
+    stray = (fd.h != 0) & (deg[:, None] != r * deg[None, :] % n)
+    count = Counter(G.degrees)
+    sources = set(deg[stray.any(axis=0)].tolist())
+    sources.update(i for j in count for i in (j, r_inv * j % n)
+                   if count[i] != count[r * i % n])
+    failures = tuple(PermutationFailure(i, r * i % n) for i in sorted(sources))
     return PermutationReport(not failures, n, failures)
-
-
-def _untwisted_components(comps: tuple[Subspace, ...], h, r: int) -> list[int]:
-    """Indices i (ascending) where h does not map comps[i] onto comps[r*i mod n].
-    Callers charge the n images (_component_steps) before the call."""
-    n = len(comps)
-    return [
-        i for i in range(n)
-        if linalg.apply_to_subspace(comps[i], h, comps[i].p) != comps[(r * i) % n]
-    ]

@@ -319,10 +319,3 @@ def mat_inv(A: np.ndarray, p: int) -> np.ndarray:
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise InputError("matrix is singular mod p")
     return R[:, n:].copy()
-
-
-def apply_to_subspace(S: Subspace, g: np.ndarray, p: int) -> Subspace:
-    """Image of S under the linear map x -> g x (column-vector action)."""
-    if S.is_zero():
-        return S
-    return span(matmul(S.basis, g.T % p, p), p, S.ambient)

@@ -489,6 +489,8 @@ def count_active_components(
     """
     if c < 0:
         raise InputError(f"c must be >= 0, got {c}")
+    if G.n != nqr.n:
+        raise InputError(f"grading modulus {G.n} != context modulus {nqr.n}")
     rep = selective_check(A, G, c, nqr) if c >= 1 else None
     if rep is not None and not rep.ok:
         raise HypothesisError("selective nilpotency fails; the count bound says nothing here")
@@ -496,7 +498,7 @@ def count_active_components(
     o_b = additive_order(b, nqr.n)
     comp_b = component(A, G, b)
     active = []
-    for a in range(nqr.n):
+    for a in sorted(set(G.degrees)):  # L_a = 0 for the rest: never active
         acc = component(A, G, a)
         for _ in range(c):
             if acc.is_zero():

@@ -126,7 +126,9 @@ def ideal_closure(A: Algebra, S: Subspace) -> Subspace:
 
 
 def is_ideal(A: Algebra, S: Subspace) -> bool:
-    return ideal_closure(A, S) == S
+    """[S, L] + [L, S] <= S: one step of ideal_closure, not its fixpoint."""
+    L = A.full_space()
+    return all(linalg.is_subspace_of(subspace_product(A, X, Y), S) for X, Y in ((S, L), (L, S)))
 
 
 def centralizer(A: Algebra, T: Subspace) -> Subspace:
@@ -182,12 +184,12 @@ def hall_verify(A: Algebra, K: Subspace, c: int, k: int) -> HallReport:
     failures = []
 
     lcs_L = lower_central_series(A)
+    lcs_K = series_of_subalgebra(A, K, "lcs")
     g_c1 = _series_term(lcs_L, c + 1, A)
-    KK = subspace_product(A, K, K)
+    KK = _series_term(lcs_K, 2, A)  # [K, K], also when the series stops at K or at 0
     if not linalg.is_subspace_of(g_c1, KK):
         failures.append(f"g_{c + 1}(L) is not contained in [K,K]")
 
-    lcs_K = series_of_subalgebra(A, K, "lcs")
     g_k1_K = _series_term(lcs_K, k + 1, A)
     if not g_k1_K.is_zero():
         failures.append(f"g_{k + 1}(K) != 0")

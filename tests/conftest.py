@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from alglab import make_algebra, product
+from alglab.errors import InputError, check_work
+from alglab.frobenius import PermutationFailure, PermutationReport, _component_steps
+from alglab.grading import component
+from alglab.linalg import matmul, span
 from alglab.modular import element_of_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -77,6 +81,31 @@ def identity_holds_for(A, a, b, c, alpha=None, beta=None):
     rhs = (alpha * product(A, a, product(A, b, c))
            + beta * product(A, product(A, a, c), b)) % A.p
     return bool(np.array_equal(lhs, rhs))
+
+
+def apply_to_subspace(S, g, p):
+    """Image of S under the linear map x -> g x (column-vector action)."""
+    if S.is_zero():
+        return S
+    return span(matmul(S.basis, g.T % p, p), p, S.ambient)
+
+
+def untwisted_components(comps, h, r):
+    """Indices i (ascending) where h does not map comps[i] onto comps[r*i mod n]."""
+    n = len(comps)
+    return [i for i in range(n) if apply_to_subspace(comps[i], h, comps[i].p) != comps[(r * i) % n]]
+
+
+def oracle_h_permutation_check(A, G, fd):
+    """h_permutation_check as it stood when it built all n components and their
+    images under h: the differential oracle of the mask on h's entries."""
+    n, r = fd.triple.n, fd.triple.r
+    if G.n != n:
+        raise InputError(f"grading modulus {G.n} != action modulus {n}")
+    check_work(2 * _component_steps(n, A.dim), f"the h-permutation check over {n:,} components")
+    comps = tuple(component(A, G, i) for i in range(n))
+    failures = tuple(PermutationFailure(i, (r * i) % n) for i in untwisted_components(comps, fd.h, r))
+    return PermutationReport(not failures, n, failures)
 
 
 @pytest.fixture

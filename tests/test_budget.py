@@ -15,6 +15,7 @@ from alglab.cli import main
 from alglab.formats import loads
 from alglab.frobenius import NQRTriple, eigen_grading, h_permutation_check
 from alglab.rdep import (
+    count_active_components,
     d_set,
     index_split_check,
     is_r_dependent,
@@ -24,7 +25,7 @@ from alglab.rdep import (
 from alglab.rewrite import normalize, parse
 from alglab.search import CorpusSpec, search, spec_from_document
 from alglab.verify import verify
-from conftest import sweep_action_doc
+from conftest import abelian, sweep_action_doc
 
 
 def _right_nested(k):
@@ -290,17 +291,28 @@ def test_frobenius_on_an_action_with_large_n_answers_within_a_second(doc, tmp_pa
 
 
 def test_the_n_fold_action_loops_are_charged_before_they_run():
+    # eigen_grading walks Z/n and is refused; h_permutation_check reads the
+    # degree vector alone and answers at any n
     loaded = loads(json.dumps(ACTION_N_10_6))
     A, fd = loaded.algebra, loaded.action
-    runs = {"splitting L by 1,000,002 eigenvalues": (lambda: eigen_grading(A, fd.phi, 1000002), 1),
-            "the h-permutation check over 1,000,002 components":
-                (lambda: h_permutation_check(A, Grading(1000002, (1,)), fd), 2)}
     start = time.perf_counter()
-    for what, (run, loops) in runs.items():
-        message = f"^{what} is too large: estimate {loops * 37_000_074:,} steps"
-        with pytest.raises(errors.InputError, match=message):
-            run()
+    message = "^splitting L by 1,000,002 eigenvalues is too large: estimate 37,000,074 steps"
+    with pytest.raises(errors.InputError, match=message):
+        eigen_grading(A, fd.phi, 1000002)
+    for doc in (ACTION_N_10_6, ACTION_N_2_31):
+        loaded = loads(json.dumps(doc))
+        n = loaded.action.triple.n
+        rep = h_permutation_check(loaded.algebra, Grading(n, (1,)), loaded.action)
+        assert rep.ok and rep.checked == n and rep.failures == ()
     assert time.perf_counter() - start < 1.0
+
+
+def test_count_active_components_walks_the_occurring_degrees_only():
+    start = time.perf_counter()
+    res = count_active_components(abelian(5, 2), Grading(1000002, (1, 2)), 0,
+                                  NQRTriple(1000002, 1, 1), 1)
+    assert time.perf_counter() - start < 1.0
+    assert res.count == 2 and res.active == (1, 2)
 
 
 def test_the_table_and_each_series_step_are_charged_before_they_run(monkeypatch):

@@ -369,6 +369,17 @@ class TestSearch:
         assert result.output.splitlines()[-2] == "candidates: 25  survivors: 9"
 
 
+def test_a_misspelled_expected_key_is_an_input_error_not_a_violation(runner, tmp_path):
+    doc = json.loads((FIXTURES / "heisenberg_f5.json").read_text())
+    doc["meta"]["expected"] = {"derived_lenght": 2, "nilpotency_class": 2}
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", "expected", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: meta.expected.derived_lenght: unknown field\n"
+
+
 def _raise_invariant(*args, **kwargs):
     from alglab.errors import InternalInvariantError
 

@@ -114,6 +114,21 @@ def test_unknown_top_level_field_rejected():
     assert str(exc.value) == "extra: unknown field"
 
 
+@pytest.mark.parametrize("block, path", [
+    ("grading", "grading.degree"),
+    ("action", "action.omega"),
+    ("meta", "meta.nmae"),
+    ("expected", "meta.expected.derived_lenght"),
+])
+def test_unknown_field_in_a_nested_block_rejected(block, path):
+    doc = json.loads((FIXTURES / "abelian2_f7_action.json").read_text())
+    target = doc["meta"]["expected"] if block == "expected" else doc[block]
+    target[path.rsplit(".", 1)[1]] = 1
+    with pytest.raises(FormatError) as exc:
+        loads(json.dumps(doc))
+    assert str(exc.value) == f"{path}: unknown field"
+
+
 def test_action_block_fully_validated():
     doc = minimal_doc(
         p=7,

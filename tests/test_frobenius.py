@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from alglab import (
     span,
     validate_nqr,
 )
+from alglab.formats import load
 from alglab.frobenius import _order_dividing
-from alglab.linalg import matmul, mat_inv, mat_pow
-from alglab.modular import multiplicative_order
-from conftest import abelian, leibniz2
+from alglab.linalg import matmul, mat_inv, mat_pow, nullspace
+from alglab.modular import element_of_order, multiplicative_order
+from conftest import FIXTURES, abelian, leibniz2, oracle_h_permutation_check
 
 
 def test_validate_nqr_valid_cases():
@@ -246,6 +249,115 @@ def test_h_permutation_failure_when_h_fixes_components():
     rep = h_permutation_check(A, Grading(3, (1, 2)), fd)
     assert not rep.ok
     assert {f.source for f in rep.failures} == {1, 2}
+
+
+def test_h_permutation_check_refuses_a_mismatched_grading():
+    A = abelian(7, 2)
+    fd = FrobeniusData(NQRTriple(3, 2, 2), np.diag([2, 4]), np.eye(2, dtype=np.int64))
+    with pytest.raises(InputError, match="^grading modulus 4 != action modulus 3$"):
+        h_permutation_check(A, Grading(4, (1, 2)), fd)
+    with pytest.raises(InputError, match="^grading labels 1 vectors, algebra has dim 2$"):
+        h_permutation_check(A, Grading(3, (1,)), fd)
+    # bypass the factory: r = 2 is not a unit mod 4, which validate_nqr rules out
+    fd = FrobeniusData(NQRTriple(4, 2, 2), np.diag([2, 4]), np.eye(2, dtype=np.int64))
+    with pytest.raises(InputError, match="^r = 2 is not a unit mod n = 4$"):
+        h_permutation_check(A, Grading(4, (1, 2)), fd)
+
+
+# every valid (n, q, r) with n <= 13
+PERMUTATION_TRIPLES = tuple(
+    (n, q, r) for n in range(2, 14) for r in range(1, n)
+    for q in (multiplicative_order(r, n),) if q is not None and validate_nqr(n, q, r).valid
+)
+
+
+def _invertible_h(rng, p, deg, n, r):
+    """A random invertible h over F_p: dense, or graded (column j inside
+    L_{r*deg(j)}) with up to two stray entries."""
+    d = len(deg)
+    while True:
+        h = rng.integers(0, p, size=(d, d))
+        if d and rng.random() < 0.5:
+            h *= deg[:, None] == r * deg[None, :] % n
+            for _ in range(rng.integers(3)):
+                h[rng.integers(d), rng.integers(d)] = rng.integers(p)
+        if nullspace(h, p).is_zero():
+            return h
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_h_permutation_check_matches_the_subspace_oracle(p):
+    # 600 seeded cases a prime, 3,000 in all; phi is not read by the check
+    rng = np.random.default_rng(p)
+    outcomes = []
+    for _ in range(600):
+        n, q, r = PERMUTATION_TRIPLES[rng.integers(len(PERMUTATION_TRIPLES))]
+        dim = int(rng.integers(6))
+        if rng.random() < 0.5:
+            degrees = rng.integers(n, size=dim).tolist()
+        else:  # whole orbits under i -> r*i, so some h permute the components
+            starts = rng.integers(n, size=dim).tolist()
+            degrees = [a * pow(r, e, n) % n for a in starts for e in range(q if a else 1)][:dim]
+        h = _invertible_h(rng, p, np.asarray(degrees, dtype=np.int64), n, r)
+        A, G = abelian(p, dim), Grading(n, tuple(degrees))
+        fd = FrobeniusData(NQRTriple(n, q, r), np.eye(dim, dtype=np.int64), h)
+        got, want = h_permutation_check(A, G, fd), oracle_h_permutation_check(A, G, fd)
+        assert got == want and repr(got) == repr(want), (n, q, r, degrees, h.tolist())
+        outcomes.append(got.ok)
+    assert 100 < sum(outcomes) < 500
+
+
+def _ladder_action(p, n, q, r, m, lie):
+    """q copies of the strictly upper-triangular m x m matrices over F_p under
+    xy (or xy - yx), copy s graded by r^s * (j - i) mod n; phi acts by
+    omega^degree and h shifts copy s onto copy s + 1, so h^-1 phi h = phi^r."""
+    idx = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    db = len(idx)
+    dim = q * db
+    T = np.zeros((dim, dim, dim), dtype=np.int64)
+    for s, ((a, (i, j)), (b, (k, l))) in itertools.product(range(q), itertools.product(
+            enumerate(idx), repeat=2)):
+        if j == k:
+            T[s * db + a, s * db + b, s * db + idx.index((i, l))] += 1
+        if lie and l == i:
+            T[s * db + a, s * db + b, s * db + idx.index((k, j))] -= 1
+    degrees = [pow(r, s, n) * (j - i) % n for s in range(q) for i, j in idx]
+    omega = element_of_order(p, n)
+    phi = np.diag([pow(omega, d, p) for d in degrees])
+    h = np.roll(np.eye(dim, dtype=np.int64), db, axis=0)
+    return make_algebra(p, dim, T % p, 1, 1 if lie else 0), degrees, phi, h
+
+
+def _relabelled(rng, p, A, degrees, phi, h):
+    """An isomorphic copy: new basis vector k is lam_k times old vector perm[k]."""
+    perm = rng.permutation(A.dim)
+    lam = rng.integers(1, p, size=A.dim)
+    inv = np.asarray([pow(int(x), p - 2, p) for x in lam], dtype=np.int64)
+    T = A.table[np.ix_(perm, perm, perm)] * lam[:, None, None] * lam[None, :, None] * inv % p
+    phi, h = (inv[:, None] * g[np.ix_(perm, perm)] * lam[None, :] % p for g in (phi, h))
+    return make_algebra(p, A.dim, T, A.alpha, A.beta), [degrees[k] for k in perm], phi, h
+
+
+def test_h_permutation_check_matches_the_oracle_on_action_files():
+    # the fixture, and the four twisted ladders of the benchmark's certify
+    # workload relabelled under three seeds; each also with one degree moved,
+    # which h no longer permutes
+    loaded = load(FIXTURES / "abelian2_f7_action.json")
+    cases = [(loaded.algebra, list(loaded.grading.degrees), loaded.action)]
+    for seed, (p, n, q, r, m, lie) in itertools.product(range(3), (
+            (7, 3, 2, 2, 3, False), (13, 3, 2, 2, 3, True),
+            (11, 5, 2, 4, 4, False), (11, 5, 4, 2, 3, True))):
+        A, degrees, phi, h = _relabelled(np.random.default_rng(seed), p,
+                                         *_ladder_action(p, n, q, r, m, lie))
+        cases.append((A, degrees, frobenius_data(A, n, q, r, phi, h)))
+    outcomes = []
+    for A, degrees, fd in cases:
+        moved = [(degrees[0] + 1) % fd.triple.n] + degrees[1:]
+        for G in (Grading(fd.triple.n, tuple(degrees)), Grading(fd.triple.n, tuple(moved))):
+            got, want = h_permutation_check(A, G, fd), oracle_h_permutation_check(A, G, fd)
+            assert got == want and repr(got) == repr(want)
+            outcomes.append(got.ok)
+    assert outcomes == [True, False] * len(cases)
 
 
 def test_single_entries_never_twist_back():

@@ -265,6 +265,12 @@ def test_count_active_components_c0_observational():
     assert not res.asserted and res.bound is None
 
 
+def test_count_active_components_refuses_a_grading_of_another_modulus():
+    # c = 0 runs no selective check, which would refuse it too
+    with pytest.raises(InputError, match="^grading modulus 3 != context modulus 6$"):
+        count_active_components(abelian(7, 2), Grading(3, (1, 2)), 0, NQRTriple(6, 1, 1), 1)
+
+
 def test_count_active_components_report_only_below_threshold():
     # graded Leibniz mod 5 with the order-4 twist: selective 1-nilpotency
     # holds (all pairs over {1, 2} are dependent), so the count runs; the

@@ -215,6 +215,36 @@ def test_series_of_the_whole_algebra_take_no_closure_product(monkeypatch, heis5)
     assert len(calls) == 2
 
 
+def test_is_ideal_and_hall_verify_count_their_products(monkeypatch, heis5):
+    import alglab.series
+
+    calls = []
+    product = alglab.series.subspace_product
+    monkeypatch.setattr(alglab.series, "subspace_product",
+                        lambda *args: calls.append(1) or product(*args))
+    # is_ideal takes [S, L], then [L, S] only while S still holds it
+    Z, E = span([(0, 0, 1)], 5), span([(1, 0, 0)], 5)
+    for S, ideal, products in ((Z, True, 2), (E, False, 1)):
+        calls.clear()
+        assert is_ideal(heis5, S) == ideal
+        assert len(calls) == products
+    # two for is_ideal, two for L's series, two for K's: its closure check and
+    # the one step, which is [K, K]
+    calls.clear()
+    assert not hall_verify(heis5, Z, 1, 1).hypotheses_ok
+    assert len(calls) == 6
+
+
+def test_is_ideal_is_the_fixpoint_of_ideal_closure(heis5, lez3, mat2):
+    rng = np.random.default_rng(3)
+    for A in (heis5, lez3, mat2, heisenberg(7)):
+        for _ in range(40):
+            rows = rng.integers(0, A.p, size=(int(rng.integers(A.dim + 1)), A.dim))
+            S = span(rows.tolist(), A.p, A.dim)
+            assert is_ideal(A, S) == (ideal_closure(A, S) == S)
+            assert is_ideal(A, ideal_closure(A, S))
+
+
 def test_bound_calculators():
     assert kreknin_shalev_bound(1) == 1
     assert kreknin_shalev_bound(2) == 3

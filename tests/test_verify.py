@@ -7,7 +7,7 @@ import pytest
 from alglab import AlgLabError
 from alglab.formats import load, loads
 from alglab.verify import Status, verify
-from conftest import FIXTURES, FIXTURE_FILES
+from conftest import FIXTURES, FIXTURE_FILES, untwisted_components
 
 
 def result_map(report):
@@ -222,7 +222,7 @@ def oracle_frobenius_check(loaded):
     reads both off what frobenius_data proved at load."""
     from alglab import InputError
     from alglab.errors import check_work
-    from alglab.frobenius import _component_steps, _untwisted_components, eigen_grading
+    from alglab.frobenius import _component_steps, eigen_grading
     from alglab.verify import CheckResult
 
     name = "frobenius"
@@ -238,7 +238,7 @@ def oracle_frobenius_check(loaded):
         egr = eigen_grading(A, fd.phi, fd.triple.n)
     except AlgLabError as exc:
         return CheckResult(name, Status.VIOLATION, f"eigenspace decomposition failed: {exc}")
-    failures = _untwisted_components(egr.components, fd.h, fd.triple.r)
+    failures = untwisted_components(egr.components, fd.h, fd.triple.r)
     if failures:
         return CheckResult(name, Status.VIOLATION,
                            f"h does not map components {failures} to their twisted targets")
