@@ -92,7 +92,6 @@ from .rewrite import (
 )
 from .series import (
     SeriesResult,
-    bound_value,
     centralizer,
     derived_length,
     derived_series,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, _products, subspace_product
+from .algebra import Algebra, _identity_steps, _products, subspace_product
 from .errors import (
     DiagonalizationError,
     InputError,
@@ -94,11 +94,13 @@ class AutomorphismReport:
 def check_automorphism(A: Algebra, g) -> AutomorphismReport:
     """Verify g is invertible and multiplicative on all basis pairs.
 
-    Bilinearity extends the basis-pair certificate to all elements.
+    Bilinearity extends the basis-pair certificate to all elements.  The two
+    d^4 contractions are charged first, at the identity's rate.
     """
     g = linalg.as_mat(g, A.p)
     if g.shape != (A.dim, A.dim):
         raise InputError(f"matrix has shape {g.shape}, expected {(A.dim, A.dim)}")
+    check_work(_identity_steps(1, 2, A.dim), f"the automorphism check on a table of dim {A.dim:,}")
     try:
         linalg.mat_inv(g, A.p)
         invertible = True

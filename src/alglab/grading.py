@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import Algebra
-from .errors import InputError
+from .errors import InputError, check_work
 from .linalg import Subspace
 
 
@@ -78,11 +78,11 @@ def check_grading(A: Algebra, G: Grading) -> GradingReport:
 
 
 def component(A: Algebra, G: Grading, i: int) -> Subspace:
-    """The homogeneous component L_i (span of the degree-i basis vectors)."""
+    """The homogeneous component L_i (span of the degree-i basis vectors):
+    the rows of the identity at those vectors, already its echelon basis."""
     _check_dims(A, G)
-    i %= G.n
-    rows = [A.basis_vector(k) for k, d in enumerate(G.degrees) if d == i]
-    return linalg.span(rows, A.p, A.dim)
+    degrees = np.asarray(G.degrees, dtype=np.int64)
+    return Subspace(A.p, A.dim, np.eye(A.dim, dtype=np.int64)[degrees == i % G.n])
 
 
 def nontrivial_components(A: Algebra, G: Grading) -> set[int]:
@@ -98,11 +98,16 @@ def component_count(A: Algebra, G: Grading) -> int:
 def is_homogeneous(A: Algebra, G: Grading, H: Subspace) -> tuple[bool, list[Subspace]]:
     """Does H decompose as the direct sum of its slices H ∩ L_i?
 
-    Returns the verdict together with the induced components, indexed 0..n-1.
+    Returns the verdict together with the induced components, indexed 0..n-1,
+    a list charged a step an entry before it is built.  Off the degrees that
+    occur, every slice is one shared zero subspace.
     """
     _check_dims(A, G)
     if H.p != A.p or H.ambient != A.dim:
         raise InputError("subspace does not live in this algebra")
-    parts = [linalg.intersect(H, component(A, G, i)) for i in range(G.n)]
-    return sum(part.rank for part in parts) == H.rank, parts
-
+    check_work(G.n, f"a list of {G.n:,} homogeneous slices")
+    occurring = set(G.degrees)
+    parts = [linalg.zero_subspace(A.p, A.dim)] * G.n
+    for i in occurring:
+        parts[i] = linalg.intersect(H, component(A, G, i))
+    return sum(parts[i].rank for i in occurring) == H.rank, parts

@@ -233,16 +233,3 @@ def order_threshold(q: int, c: int) -> int:
         raise InputError("order_threshold needs q >= 2 and c >= 1")
     e = 2 ** (2 * q - 3)
     return 2 ** (e - 1) * c**e
-
-
-def bound_value(kind: str, **params) -> int:
-    """Dispatch by name; used by callers that read the bound kind from data."""
-    kinds = {
-        "kreknin_shalev": kreknin_shalev_bound,
-        "metabelian_g": metabelian_class_bound,
-        "order_threshold": order_threshold,
-        "hall": hall_bound,
-    }
-    if kind not in kinds:
-        raise InputError(f"unknown bound kind {kind!r}; expected one of {sorted(kinds)}")
-    return kinds[kind](**params)

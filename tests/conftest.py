@@ -8,7 +8,7 @@ from alglab import make_algebra, product
 from alglab.errors import InputError, check_work
 from alglab.frobenius import PermutationFailure, PermutationReport, _component_steps
 from alglab.grading import component
-from alglab.linalg import matmul, span
+from alglab.linalg import inv_scalar, matmul, span
 from alglab.modular import element_of_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,6 +81,45 @@ def identity_holds_for(A, a, b, c, alpha=None, beta=None):
     rhs = (alpha * product(A, a, product(A, b, c))
            + beta * product(A, product(A, a, c), b)) % A.p
     return bool(np.array_equal(lhs, rhs))
+
+
+def oracle_rref(M, p):
+    """rref as it stood with a Python loop over rows for each pivot column:
+    the differential oracle of the one-numpy-step-per-column rref."""
+    A = (np.asarray(M, dtype=np.int64) % p).copy()
+    rows, cols = A.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        piv = -1
+        for i in range(r, rows):
+            if A[i, c]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = (A[r] * inv_scalar(A[r, c], p)) % p
+        for i in range(rows):
+            if i != r and A[i, c]:
+                A[i] = (A[i] - A[i, c] * A[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A, pivots
+
+
+def oracle_member(S, v):
+    """member as it stood, reducing v against one echelon row at a time: the
+    differential oracle of member and is_subspace_of."""
+    x = np.asarray(v, dtype=np.int64) % S.p
+    for row in S.basis:
+        c = int(np.argmax(row != 0)) if row.any() else S.ambient
+        if c < S.ambient and x[c]:
+            x = (x - x[c] * row) % S.p
+    return not x.any()
 
 
 def apply_to_subspace(S, g, p):

@@ -10,10 +10,17 @@ from click.testing import CliRunner
 
 import alglab.errors as errors
 import alglab.search as search_mod
-from alglab import Grading, check_identity_uniform, lower_central_series, make_algebra
+from alglab import (
+    Grading,
+    check_identity_uniform,
+    is_homogeneous,
+    lower_central_series,
+    make_algebra,
+    span,
+)
 from alglab.cli import main
 from alglab.formats import loads
-from alglab.frobenius import NQRTriple, eigen_grading, h_permutation_check
+from alglab.frobenius import NQRTriple, check_automorphism, eigen_grading, h_permutation_check
 from alglab.rdep import (
     count_active_components,
     d_set,
@@ -43,6 +50,11 @@ ACTION_N_10_6 = {"p": 1000003, "dim": 1, "alpha": 1, "beta": 1, "table": [],
                  "action": {"n": 1000002, "q": 1, "r": 1, "phi": [[2]], "h": [[1]]}}
 # the same file with its grading declared: omega = 2 is phi's one entry
 GRADED_N_10_6 = {**ACTION_N_10_6, "grading": {"n": 1000002, "degrees": [1]}}
+# a zero table with phi = 2I and h = I: the automorphism check alone is some 2 * 200^4
+# multiply-adds for each of them
+ACTION_DIM_200 = {"p": 3, "dim": 200, "alpha": 1, "beta": 1, "table": [],
+                  "action": {"n": 2, "q": 1, "r": 1, "phi": (2 * np.eye(200, dtype=int)).tolist(),
+                             "h": np.eye(200, dtype=int).tolist()}}
 ACTION_N_2_31 = {"p": 2147483647, "dim": 1, "alpha": 1, "beta": 1, "table": [],
                  "action": {"n": 2147483646, "q": 1, "r": 1, "phi": [[7]], "h": [[1]]}}
 
@@ -107,6 +119,9 @@ HANGING = {
     "series-dim-240": ["series", DIM_240],
     # the 2000^3 table is charged before it is allocated
     "check-dim-2000": ["check", DIM_2000],
+    # phi and h are checked at load, each charged before its two d^4 contractions
+    "frobenius-dim-200": ["verify", "frobenius", ACTION_DIM_200],
+    "check-action-dim-200": ["check", ACTION_DIM_200],
 }
 
 
@@ -149,6 +164,10 @@ def test_every_entry_point_charges_the_one_budget(monkeypatch):
         # 4 rows of 4^4 multiply-adds, 256 to a step
         ("the identity on rows 0..3 of 1 table(s) of dim 4", 4):
             lambda: check_identity_uniform(make_algebra(5, 4, np.zeros((4, 4, 4)))),
+        # two contractions of 5^4 multiply-adds, at the identity's rate
+        ("the automorphism check on a table of dim 5", 4):
+            lambda: check_automorphism(make_algebra(5, 5, np.zeros((5, 5, 5))), np.eye(5)),
+        ("a list of 31 homogeneous slices", 31): lambda: is_homogeneous(A, G, A.zero_space()),
     }
     for run in entry_points.values():  # small inputs pass, and their constants are cached
         run()
@@ -313,6 +332,21 @@ def test_count_active_components_walks_the_occurring_degrees_only():
                                   NQRTriple(1000002, 1, 1), 1)
     assert time.perf_counter() - start < 1.0
     assert res.count == 2 and res.active == (1, 2)
+
+
+def test_is_homogeneous_intersects_the_occurring_degrees_only():
+    A = abelian(5, 2)
+    G = Grading(100000, (1, 7))
+    H = span([[1, 0]], 5, 2)
+    start = time.perf_counter()
+    ok, parts = is_homogeneous(A, G, H)
+    assert time.perf_counter() - start < 1.0
+    assert ok and len(parts) == 100000
+    assert parts[1] == H and all(parts[i].is_zero() for i in range(100000) if i != 1)
+    # the list itself is charged, a step an entry, before it is built
+    with pytest.raises(errors.InputError, match=re.escape(
+            "a list of 10,000,000 homogeneous slices is too large: estimate 10,000,000 steps")):
+        is_homogeneous(A, Grading(10**7, (1, 7)), H)
 
 
 def test_the_table_and_each_series_step_are_charged_before_they_run(monkeypatch):

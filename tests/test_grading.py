@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from alglab import (
@@ -12,6 +13,7 @@ from alglab import (
     is_homogeneous,
     lower_central_series,
     nontrivial_components,
+    intersect,
     span,
 )
 from conftest import abelian, zero_algebra
@@ -143,3 +145,33 @@ def test_sampling_detects_broken_grading(lez3):
 def test_grading_dimension_mismatch(lez3):
     with pytest.raises(InputError):
         check_grading(lez3, Grading(3, (1, 2, 0)))
+
+
+def test_component_matches_the_span_of_its_basis_vectors():
+    rng = random.Random(23)
+    for p in (2, 7, 2147483647):
+        for dim in (0, 1, 4, 7):
+            n = rng.randrange(1, 6)
+            G = Grading(n, tuple(rng.randrange(n) for _ in range(dim)))
+            A = abelian(p, dim)
+            for i in range(-n, 2 * n):
+                want = span([A.basis_vector(k) for k, d in enumerate(G.degrees) if d == i % n],
+                            p, dim)
+                got = component(A, G, i)
+                assert got == want and got.basis.dtype == np.int64
+                assert not got.basis.flags.writeable
+
+
+def test_is_homogeneous_matches_the_walk_over_every_residue():
+    rng = np.random.default_rng(5)
+    for p, n, dim in ((3, 4, 4), (7, 6, 5), (2, 3, 3)):
+        G = Grading(n, tuple(int(d) for d in rng.integers(0, n, dim)))
+        A = abelian(p, dim)
+        for k in range(dim + 1):
+            rows = rng.integers(0, p, (k, dim))
+            one_degree = rows * (np.asarray(G.degrees) == G.degrees[0])  # a homogeneous H
+            for H in (span(rows, p, dim), span(one_degree, p, dim)):
+                walk = [intersect(H, component(A, G, i)) for i in range(n)]
+                ok, parts = is_homogeneous(A, G, H)
+                assert parts == walk
+                assert ok == (sum(part.rank for part in walk) == H.rank)

@@ -20,6 +20,7 @@ from alglab import (
 )
 from alglab.linalg import mat_inv, mat_pow, matmul, rref
 from alglab.modular import is_prime
+from conftest import oracle_member, oracle_rref
 
 
 def brute_force_member(S, v):
@@ -267,3 +268,63 @@ def test_matmul_matches_the_object_dtype_product(p):
             want = object_matmul(A, B, p)
             assert got.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want), (p, a_shape, b_shape)
+
+
+# -- differential tests against the row-loop kernels kept in conftest ---------
+
+ORACLE_PRIMES = [2, 3, 7, 2147483647]
+
+
+def rref_inputs(p, rng):
+    """Seeded matrices of every shape rref meets: empty, all-zero, full-rank,
+    tall, wide and rank-deficient, with entries outside [0, p) too."""
+    yield from (np.zeros(shape, dtype=np.int64) for shape in [(0, 0), (0, 4), (3, 0), (3, 5)])
+    yield np.eye(5, dtype=np.int64) * (p - 1)
+    yield np.triu(rng.integers(1, p, (6, 6)))  # full rank: nonzero diagonal
+    for rows, cols in [(1, 1), (5, 5), (9, 4), (4, 9), (12, 12)]:
+        yield rng.integers(-p, 2 * p, (rows, cols))
+        for k in range(1, min(rows, cols)):  # rank at most k
+            yield matmul(rng.integers(0, p, (rows, k)), rng.integers(0, p, (k, cols)), p)
+    sparse = rng.integers(0, p, (8, 10))
+    yield sparse * (rng.random((8, 10)) < 0.2)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_rref_matches_the_row_loop_oracle(p):
+    rng = np.random.default_rng(p)
+    for M in rref_inputs(p, rng):
+        before = M.copy()
+        R, pivots = rref(M, p)
+        want, want_pivots = oracle_rref(M, p)
+        assert R.dtype == np.int64 and np.array_equal(R, want), (p, M.shape)
+        assert pivots == want_pivots
+        assert np.array_equal(M, before)  # the input is not written to
+
+
+def random_subspaces(p, rng, ambient):
+    """Zero, full and random subspaces of F_p^ambient, one nested in another."""
+    yield zero_subspace(p, ambient)
+    yield full_subspace(p, ambient)
+    for k in range(1, ambient + 1):
+        S = span(rng.integers(0, p, (k, ambient)), p, ambient)
+        yield S
+        if S.rank:
+            yield span(matmul(rng.integers(0, p, (rng.integers(1, S.rank + 1), S.rank)),
+                              S.basis, p), p, ambient)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_member_and_is_subspace_of_match_the_oracle(p):
+    rng = np.random.default_rng(p + 1)
+    for ambient in (0, 1, 3, 6):
+        spaces = list(random_subspaces(p, rng, ambient))
+        for T in spaces:
+            probes = [rng.integers(0, p, ambient), np.zeros(ambient, dtype=np.int64)]
+            if T.rank:  # a vector of T, and one shifted off it when T is not everything
+                inside = matmul(rng.integers(0, p, T.rank), T.basis, p)
+                probes += [inside, inside - p, (inside + np.eye(ambient, dtype=np.int64)[0]) % p]
+            for v in probes:
+                assert member(T, v) == oracle_member(T, v), (p, ambient, T.rank, v)
+            for S in spaces:
+                want = all(oracle_member(T, row) for row in S.basis)
+                assert is_subspace_of(S, T) == want, (p, ambient, S.rank, T.rank)

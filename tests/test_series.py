@@ -5,7 +5,6 @@ import pytest
 
 from alglab import (
     InputError,
-    bound_value,
     centralizer,
     derived_length,
     derived_series,
@@ -252,11 +251,7 @@ def test_bound_calculators():
     assert order_threshold(2, 1) == 2
     # grows fast but stays exact
     assert order_threshold(3, 2) == 2**7 * 2**8
-    assert bound_value("kreknin_shalev", d=3) == 7
-    assert bound_value("metabelian_g", m=2, q=2, c=1) == 7
-    assert bound_value("order_threshold", q=2, c=1) == 2
-    with pytest.raises(InputError):
-        bound_value("unknown")
+    assert kreknin_shalev_bound(3) == 7
     with pytest.raises(InputError):
         metabelian_class_bound(0, 2, 1)
 

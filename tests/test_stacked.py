@@ -1,13 +1,13 @@
 """Differential tests: the stacked kernels that `search` runs on every
 identity survivor of a chunk, against the per-matrix and per-algebra paths.
 
-`_rref_stack` is compared with `rref`, `_subspace_products` with
-`subspace_product`, `_stacked_lengths` with `derived_length` and
-`nilpotency_class`.  `selective_check`, now `_selective_violations` on a
-stack of one table, is compared with the per-tuple loop it replaced, kept
-below as `oracle_selective_check`.  The searches run with identity_filter
-off, so tables that fail the identity (and the selective condition, and
-have no series length) are covered too.
+`_rref_stack` is compared with `rref` and the row-loop `oracle_rref`,
+`_subspace_products` with `subspace_product`, `_stacked_lengths` with
+`derived_length` and `nilpotency_class`.  `selective_check`, now
+`_selective_violations` on a stack of one table, is compared with the
+per-tuple loop it replaced, kept below as `oracle_selective_check`.  The
+searches run with identity_filter off, so tables that fail the identity
+(and the selective condition, and have no series length) are covered too.
 """
 
 import random
@@ -44,6 +44,7 @@ from alglab.rdep import (
 )
 from alglab.search import CorpusSpec, search
 from alglab.series import _stacked_lengths
+from conftest import oracle_rref
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BIG_P = 2147483647
@@ -121,6 +122,7 @@ def test_rref_stack_matches_rref(p, seed):
             want, pivots = rref(M[b], p)
             assert np.array_equal(R[b], want)
             assert int(ranks[b]) == len(pivots)
+            assert np.array_equal(want, oracle_rref(M[b], p)[0])
 
 
 @pytest.mark.parametrize("p", [2, 3, BIG_P])
