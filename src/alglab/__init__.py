@@ -22,7 +22,6 @@ The public surface, by theme:
 from .algebra import (
     Algebra,
     check_identity_uniform,
-    left_normalized_product,
     make_algebra,
     product,
     solve_alpha_beta,

@@ -117,17 +117,6 @@ def product(A: Algebra, x, y) -> np.ndarray:
     return _products(A.table, xv, yv, A.p)
 
 
-def left_normalized_product(A: Algebra, elements) -> np.ndarray:
-    """[x1, x2, ..., xs] folded as [...[[x1,x2],x3]...,xs]."""
-    elems = [linalg.as_vec(e, A.p, A.dim) for e in elements]
-    if not elems:
-        raise InputError("need at least one element")
-    acc = elems[0]
-    for e in elems[1:]:
-        acc = _products(A.table, acc, e, A.p)
-    return acc
-
-
 @dataclass(frozen=True)
 class IdentityFailure:
     triple: tuple[int, int, int]
@@ -281,16 +270,31 @@ def subspace_product(A: Algebra, M: Subspace, N: Subspace) -> Subspace:
 def _subspace_products(tables: np.ndarray, M: np.ndarray, N: np.ndarray,
                        p: int) -> tuple[np.ndarray, np.ndarray]:
     """subspace_product on a stack: tables (B, d, d, d), and M, N stacks of
-    echelon bases (B, rows, d), which may end in zero rows, or one basis (1,
-    rows, d) shared by the stack.  Returns the (B, d, d) echelon bases of
-    [M_b, N_b], padded with zero rows, and their ranks.  Each table
-    contracts as in _products."""
-    B, d = tables.shape[:2]
-    m, n = M.shape[1], N.shape[1]
-    Z = linalg.matmul(M, tables.reshape(B, d, d * d), p).reshape(B, m, d, d)
-    R, ranks = linalg._rref_stack(linalg.matmul(N[:, None], Z, p).reshape(B, m * n, d), p)
+    (B, rows, d) spanning rows, which may include zero rows; any of the three
+    may instead be one (1, ...) shared by the stack.  Returns the (B, d, d)
+    echelon bases of [M_b, N_b], padded with zero rows, and their ranks.
+    Each table contracts as in _products."""
+    d, m, n = tables.shape[1], M.shape[1], N.shape[1]
+    Z = linalg.matmul(M, tables.reshape(len(tables), d, d * d), p)
+    P = linalg.matmul(N[:, None], Z.reshape(len(Z), m, d, d), p)
+    B = len(P)
+    R, ranks = linalg._rref_stack(P.reshape(B, m * n, d), p)
     if m * n >= d:
         return R[:, :d], ranks
     out = np.zeros((B, d, d), dtype=np.int64)
     out[:, : m * n] = R
     return out, ranks
+
+
+def _chain_ranks(table: np.ndarray, X: np.ndarray, bases, p: int) -> np.ndarray:
+    """The ranks of [...[[X_s, N_1], N_2]..., N_k] for a (S, rows, d) stack of
+    subspaces X_s of one (d, d, d) table, each given by independent rows among
+    zero rows, and shared bases N_j (rows_j, d): one _subspace_products per N_j
+    on the whole stack, cut to its longest basis, until every product is zero."""
+    ranks = np.count_nonzero(X.any(axis=2), axis=1)
+    for N in bases:
+        if not ranks.any():
+            break
+        X, ranks = _subspace_products(table[None], X, N[None], p)
+        X = X[:, : ranks.max()]
+    return ranks

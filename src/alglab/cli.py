@@ -321,15 +321,15 @@ def search_cmd(spec_path: str, seed: Optional[int], as_json: bool):
             json.dumps(
                 {
                     "candidates": result.candidates,
-                    "survivors": list(search_mod.iter_survivor_documents(result)),
+                    "survivors": [s.document() for s in result.survivors],
                     "summary": summary_docs,
                 },
                 indent=2,
             )
         )
     else:
-        for doc in search_mod.iter_survivor_documents(result):
-            _echo(json.dumps(doc, separators=(",", ":")))
+        for s in result.survivors:
+            _echo(json.dumps(s.document(), separators=(",", ":")))
         _echo(f"candidates: {result.candidates}  survivors: {len(result.survivors)}")
         for b in result.summary:
             _echo(

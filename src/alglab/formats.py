@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import Algebra, make_algebra
-from .errors import FormatError, check_work
+from .errors import FormatError, InputError, check_work
 from .frobenius import FrobeniusData, frobenius_data
 from .grading import Grading
 from .modular import element_of_order, is_prime
@@ -173,7 +173,7 @@ def loads(text: str) -> LoadedAlgebra:
         h = _as_matrix(_need(a, "h", "action"), dim, p, "action.h")
         try:
             FD = frobenius_data(A, n, q, r, phi, h)
-        except Exception as exc:
+        except InputError as exc:
             raise FormatError("action", str(exc)) from exc
         if G is not None:
             if G.n != n:

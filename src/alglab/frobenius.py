@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grading import Grading, _check_dims, check_grading
 from .linalg import Subspace
-from .modular import _prime_factors, divisors, element_of_order, multiplicative_order
+from .modular import divisors, element_of_order, multiplicative_order, order_from_multiple
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,11 @@ def check_automorphism(A: Algebra, g) -> AutomorphismReport:
 
 
 def _order_dividing(g: np.ndarray, p: int, n: int) -> Optional[int]:
-    """The order of g if it divides n, else None: one mat_pow per prime factor
-    test, as multiplicative_order does for scalars."""
-    eye = np.eye(g.shape[0], dtype=np.int64)
-    if not np.array_equal(linalg.mat_pow(g, n, p), eye):
-        return None
-    for ell in _prime_factors(n):
-        while n % ell == 0 and np.array_equal(linalg.mat_pow(g, n // ell, p), eye):
-            n //= ell
-    return n
+    """The order of g if it divides n, else None: one mat_pow per test, through
+    the order_from_multiple that multiplicative_order runs on scalars."""
+    def is_one(e: int) -> bool:
+        return np.array_equal(linalg.mat_pow(g, e, p), np.eye(len(g), dtype=np.int64))
+    return order_from_multiple(n, is_one) if is_one(n) else None
 
 
 def _component_steps(n: int, dim: int) -> int:

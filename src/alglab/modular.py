@@ -56,8 +56,7 @@ def multiplicative_order(a: int, m: int) -> int | None:
     """Order of a in (Z/mZ)^*, or None if gcd(a, m) != 1.
 
     m = 1 is the trivial group: every a has order 1.  Otherwise the order
-    divides phi(m): start from phi(m) and divide out each prime factor while
-    a to the quotient is still 1, one pow per test.
+    divides phi(m), and order_from_multiple finds it with one pow per test.
     """
     if m < 1:
         raise InputError(f"modulus must be positive, got {m}")
@@ -69,10 +68,17 @@ def multiplicative_order(a: int, m: int) -> int | None:
     order = m
     for ell in _prime_factors(m):
         order = order // ell * (ell - 1)
-    for ell in _prime_factors(order):
-        while order % ell == 0 and pow(a, order // ell, m) == 1:
-            order //= ell
-    return order
+    return order_from_multiple(order, lambda e: pow(a, e, m) == 1)
+
+
+def order_from_multiple(multiple: int, is_one) -> int:
+    """The order of an element g from a multiple of it, where is_one(e) tests
+    g^e = 1: divide out each prime factor of the multiple while the power of
+    g to the quotient is still one, one is_one per test."""
+    for ell in _prime_factors(multiple):
+        while multiple % ell == 0 and is_one(multiple // ell):
+            multiple //= ell
+    return multiple
 
 
 def _prime_factors(m: int) -> list[int]:

@@ -35,10 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, _subspace_products, left_normalized_product, subspace_product
+from .algebra import Algebra, _chain_ranks, _products, _subspace_products
 from .errors import HypothesisError, InputError, InternalInvariantError, check_work
 from .frobenius import NQRTriple
-from .grading import Grading, check_grading, component, nontrivial_components
+from .grading import Grading, check_grading, nontrivial_components
 from .series import order_threshold
 
 
@@ -357,8 +357,7 @@ def selective_check(A: Algebra, G: Grading, c: int, nqr: NQRTriple) -> Selective
         raise HypothesisError("the zero component must vanish")
 
     checked, independent, (failing,) = _selective_violations(A.table[None], A.p, G.degrees, c, nqr)
-    comps = {i: component(A, G, i) for i in {d for tup in failing for d in tup}}
-    violations = tuple(_selective_witness(A, comps, tup) for tup in failing)
+    violations = tuple(_selective_witness(A, G, tup) for tup in failing)
     return SelectiveReport(not violations, c, checked, independent, violations)
 
 
@@ -411,23 +410,24 @@ def _selective_violations(tables: np.ndarray, p: int, basis_degrees: Sequence[in
     return len(degrees) ** (c + 1), len(tuples), failing
 
 
-def _selective_witness(A: Algebra, comps, tup) -> SelectiveViolation:
-    """A concrete basis tuple with nonzero left-normalized product.
-
-    One exists whenever the subspace product is nonzero, because products of
-    basis tuples span the subspace product.
-    """
-    index_lists = []
-    for d in tup:
-        basis = comps[d].basis
-        index_lists.append([np.flatnonzero(row)[0] for row in basis])
-    for combo in iproduct(*[range(len(lst)) for lst in index_lists]):
-        vecs = [comps[d].basis[c_i] for d, c_i in zip(tup, combo)]
-        val = left_normalized_product(A, vecs)
-        if val.any():
-            idxs = tuple(int(index_lists[pos][c_i]) for pos, c_i in enumerate(combo))
-            return SelectiveViolation(tuple(tup), idxs, tuple(val.tolist()))
-    raise InternalInvariantError("nonzero subspace product without a basis witness")
+def _selective_witness(A: Algebra, G: Grading, tup) -> SelectiveViolation:
+    """The lexicographically first basis tuple with nonzero left-normalized
+    product, one entry at a time: entry j is the first basis vector e of
+    L_{tup[j]} whose [x, e] (x the product so far) times the later components
+    is nonzero, one stacked chain for all e.  Products of basis tuples span
+    every subspace product, so a nonzero one has a witness."""
+    labels, eye = np.asarray(G.degrees), np.eye(A.dim, dtype=np.int64)
+    indices = [np.flatnonzero(labels == i) for i in tup]
+    x, picked = None, []
+    for j, idx in enumerate(indices):
+        rows = eye[idx] if x is None else _products(A.table, x, eye[idx], A.p)
+        ranks = _chain_ranks(A.table, rows[:, None], [eye[i] for i in indices[j + 1:]], A.p)
+        if not ranks.any():
+            raise InternalInvariantError("nonzero subspace product without a basis witness")
+        b = int(np.argmax(ranks > 0))
+        x = rows[b]
+        picked.append(int(idx[b]))
+    return SelectiveViolation(tuple(tup), tuple(picked), tuple(x.tolist()))
 
 
 @dataclass(frozen=True)
@@ -496,16 +496,11 @@ def count_active_components(
         raise HypothesisError("selective nilpotency fails; the count bound says nothing here")
     b %= nqr.n
     o_b = additive_order(b, nqr.n)
-    comp_b = component(A, G, b)
-    active = []
-    for a in sorted(set(G.degrees)):  # L_a = 0 for the rest: never active
-        acc = component(A, G, a)
-        for _ in range(c):
-            if acc.is_zero():
-                break
-            acc = subspace_product(A, acc, comp_b)
-        if not acc.is_zero():
-            active.append(a)
+    labels, eye = np.asarray(G.degrees, dtype=np.int64), np.eye(A.dim, dtype=np.int64)
+    occurring = sorted(set(G.degrees))  # L_a = 0 for the rest: never active
+    X = eye * (labels == np.asarray(occurring, dtype=np.int64)[:, None])[:, :, None]
+    ranks = _chain_ranks(A.table, X, [eye[labels == b]] * c, A.p)
+    active = [a for a, rank in zip(occurring, ranks.tolist()) if rank]
     threshold = order_threshold(nqr.q, c) if (nqr.q >= 2 and c >= 1) else None
     asserted = threshold is not None and o_b > threshold
     bound = nqr.q ** (c + 1) if asserted else None

@@ -26,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -368,8 +368,3 @@ def _summarize(spec: CorpusSpec, survivors) -> tuple[BucketSummary, ...]:
         nonsolvable=len(dls) - len(finite_dl),
         nonnilpotent=len(ncs) - len(finite_nc),
     ),)
-
-
-def iter_survivor_documents(result: SearchResult) -> Iterator[dict]:
-    for s in result.survivors:
-        yield s.document()

@@ -185,27 +185,25 @@ def hall_verify(A: Algebra, K: Subspace, c: int, k: int) -> HallReport:
 
     lcs_L = lower_central_series(A)
     lcs_K = series_of_subalgebra(A, K, "lcs")
-    g_c1 = _series_term(lcs_L, c + 1, A)
-    KK = _series_term(lcs_K, 2, A)  # [K, K], also when the series stops at K or at 0
+    g_c1 = _series_term(lcs_L, c + 1)
+    KK = _series_term(lcs_K, 2)  # [K, K], also when the series stops at K or at 0
     if not linalg.is_subspace_of(g_c1, KK):
         failures.append(f"g_{c + 1}(L) is not contained in [K,K]")
 
-    g_k1_K = _series_term(lcs_K, k + 1, A)
+    g_k1_K = _series_term(lcs_K, k + 1)
     if not g_k1_K.is_zero():
         failures.append(f"g_{k + 1}(K) != 0")
 
     if failures:
         return HallReport(bound, False, tuple(failures), None)
-    conclusion = _series_term(lcs_L, bound + 1, A).is_zero()
+    conclusion = _series_term(lcs_L, bound + 1).is_zero()
     return HallReport(bound, True, (), conclusion)
 
 
-def _series_term(series: SeriesResult, index_1based: int, A: Algebra) -> Subspace:
-    """g_i for i >= 1, extending past the computed terms by stationarity."""
-    i = index_1based - 1
-    if i < len(series.terms):
-        return series.terms[i]
-    return series.terms[-1]  # zero or the stable term, depending on outcome
+def _series_term(series: SeriesResult, index_1based: int) -> Subspace:
+    """g_i for i >= 1, extending past the computed terms by stationarity: the
+    last term is zero or the stable term, depending on the outcome."""
+    return series.terms[min(index_1based, len(series.terms)) - 1]
 
 
 def kreknin_shalev_bound(d: int) -> int:

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alglab import make_algebra, product
-from alglab.errors import InputError, check_work
+from alglab import make_algebra, product, subspace_product
+from alglab.errors import InputError, InternalInvariantError, check_work
 from alglab.frobenius import PermutationFailure, PermutationReport, _component_steps
 from alglab.grading import component
 from alglab.linalg import inv_scalar, matmul, span
 from alglab.modular import element_of_order
+from alglab.rdep import SelectiveViolation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,6 +57,28 @@ def sweep_action_doc():
         "grading": {"n": 7, "degrees": [1, 6]},
         "action": {"n": 7, "q": 2, "r": 6, "phi": [[w, 0], [0, pow(w, 6, 29)]],
                    "h": [[0, 1], [1, 0]]},
+    }
+
+
+def chain_action_doc(m):
+    """Two copies of a null-filiform Leibniz chain over F_29, graded mod 7:
+    x_1..x_m in degree 1 and y_2..y_5 in degrees 2..5 with [x_m, x_m] = y_2 and
+    [y_k, x_m] = y_(k+1), then the same with every degree negated.  phi =
+    diag(omega^degree), h swaps the copies, and (n, q, r) = (7, 2, 6).  The
+    product of five x_m is y_5, so the r-independent tuple (1, 1, 1, 1, 1)
+    breaks selective 4-nilpotency; dim = 2m + 8."""
+    w, half = element_of_order(29, 7), m + 4
+    degrees = [1] * m + [2, 3, 4, 5]
+    degrees += [7 - x for x in degrees]
+    d = 2 * half
+    table = [[o + m, o + m, o + m + 1, 1] for o in (0, half)]  # 1-based [i, j, k, coeff]
+    table += [[o + m + k, o + m, o + m + k + 1, 1] for o in (0, half) for k in (1, 2, 3)]
+    return {
+        "p": 29, "dim": d, "alpha": 1, "beta": 1, "table": table,
+        "grading": {"n": 7, "degrees": degrees},
+        "action": {"n": 7, "q": 2, "r": 6,
+                   "phi": [[pow(w, degrees[i], 29) * (i == j) for j in range(d)] for i in range(d)],
+                   "h": [[int(j == (i + half) % d) for j in range(d)] for i in range(d)]},
     }
 
 
@@ -145,6 +168,41 @@ def oracle_h_permutation_check(A, G, fd):
     comps = tuple(component(A, G, i) for i in range(n))
     failures = tuple(PermutationFailure(i, (r * i) % n) for i in untwisted_components(comps, fd.h, r))
     return PermutationReport(not failures, n, failures)
+
+
+def oracle_selective_witness(A, comps, tup):
+    """The selective witness as it stood: the left-normalized product of
+    every basis tuple of the components in lexicographic order, up to the
+    first nonzero one.  The oracle of the entry-by-entry stacked pick."""
+    index_lists = []
+    for d in tup:
+        basis = comps[d].basis
+        index_lists.append([np.flatnonzero(row)[0] for row in basis])
+    for combo in itertools.product(*[range(len(lst)) for lst in index_lists]):
+        vecs = [comps[d].basis[c_i] for d, c_i in zip(tup, combo)]
+        val = vecs[0]
+        for v in vecs[1:]:
+            val = product(A, val, v)
+        if val.any():
+            idxs = tuple(int(index_lists[pos][c_i]) for pos, c_i in enumerate(combo))
+            return SelectiveViolation(tuple(tup), idxs, tuple(val.tolist()))
+    raise InternalInvariantError("nonzero subspace product without a basis witness")
+
+
+def oracle_active_degrees(A, G, c, b):
+    """The degrees a that count_active_components finds active, as it found
+    them: one chain of subspace products [L_a, L_b, ..., L_b] per degree."""
+    comp_b = component(A, G, b)
+    active = []
+    for a in sorted(set(G.degrees)):
+        acc = component(A, G, a)
+        for _ in range(c):
+            if acc.is_zero():
+                break
+            acc = subspace_product(A, acc, comp_b)
+        if not acc.is_zero():
+            active.append(a)
+    return tuple(active)
 
 
 @pytest.fixture

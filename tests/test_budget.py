@@ -32,7 +32,7 @@ from alglab.rdep import (
 from alglab.rewrite import normalize, parse
 from alglab.search import CorpusSpec, search, spec_from_document
 from alglab.verify import verify
-from conftest import abelian, sweep_action_doc
+from conftest import abelian, chain_action_doc, sweep_action_doc
 
 
 def _right_nested(k):
@@ -332,6 +332,20 @@ def test_count_active_components_walks_the_occurring_degrees_only():
                                   NQRTriple(1000002, 1, 1), 1)
     assert time.perf_counter() - start < 1.0
     assert res.count == 2 and res.active == (1, 2)
+
+
+def test_a_selective_witness_is_picked_one_entry_at_a_time(tmp_path):
+    # L_1 has 8 basis vectors and only x_8 continues the chain: 8^5 basis
+    # tuples of L_1, only the last of them with a nonzero product
+    path = tmp_path / "chain24.json"
+    path.write_text(json.dumps(chain_action_doc(8)))
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, ["verify", "selective-nilpotency", str(path), "--c", "4"])
+    assert time.perf_counter() - start < 1.0
+    assert (result.exit_code, result.stderr) == (2, "")
+    assert result.stdout == (
+        "selective-nilpotency: hypothesis-error - selective 4-nilpotency fails at degree tuple "
+        "(1, 1, 1, 1, 1); the conclusion is not claimed for this algebra\n")
 
 
 def test_is_homogeneous_intersects_the_occurring_degrees_only():

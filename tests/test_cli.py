@@ -113,6 +113,28 @@ class TestGrade:
         result = runner.invoke(main, ["grade", str(f)])
         assert result.exit_code == 2
 
+    @pytest.fixture
+    def off_grade(self, tmp_path):
+        """leibniz2_f3.json with [e1, e2] = e2 added: degree 2 where 1 + 2 = 0 mod 3."""
+        doc = json.loads((FIXTURES / "leibniz2_f3.json").read_text())
+        doc["table"].append([1, 2, 2, 1])
+        path = tmp_path / "off_grade.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_a_table_off_its_grading_is_a_violation(self, runner, off_grade):
+        result = runner.invoke(main, ["verify", "grading", off_grade])
+        assert (result.exit_code, result.stderr) == (1, "")
+        assert result.stdout == (
+            "grading: violation - 1 violating pairs; first at (0, 1) (expected degree 0)\n")
+
+    def test_json_of_a_table_off_its_grading(self, runner, off_grade):
+        result = runner.invoke(main, ["grade", "--json", off_grade])
+        assert (result.exit_code, result.stderr) == (1, "")
+        assert result.stdout == json.dumps({"n": 3, "degrees": [1, 2], "nontrivial": [1, 2],
+                                            "d": 2, "law_ok": False, "violations": 1},
+                                           indent=2) + "\n"
+
 
 class TestFrobenius:
     def test_validate_ok(self, runner):
@@ -126,6 +148,15 @@ class TestFrobenius:
                                       "--n", "6", "--q", "2", "--r", "5"])
         assert result.exit_code == 1
         assert "divisor" in result.output or "mod 2" in result.output
+
+    @pytest.mark.parametrize("q, code, line", [
+        (3, 0, '{"n": 7, "q": 3, "r": 2, "valid": true, "witness": null}\n'),
+        (2, 1, '{"n": 7, "q": 2, "r": 2, "valid": false, "witness": 7}\n'),
+    ])
+    def test_validate_json(self, runner, q, code, line):
+        result = runner.invoke(main, ["frobenius", "validate", "--n", "7", "--q", str(q),
+                                      "--r", "2", "--json"])
+        assert (result.exit_code, result.stdout, result.stderr) == (code, line, "")
 
     def test_validate_bad_range_exit_2(self, runner):
         result = runner.invoke(main, ["frobenius", "validate",
@@ -152,6 +183,17 @@ class TestFrobenius:
         assert result.exit_code == 2
         assert result.output == "error: action: conjugation law h^-1 phi h = phi^r fails\n"
 
+    def test_grade_json(self, runner):
+        result = runner.invoke(main, ["frobenius", "grade", "--json",
+                                      fixture("abelian2_f7_action.json")])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == json.dumps({
+            "check": "frobenius", "status": "pass",
+            "message": "eigen-grading with omega = 2; fixed space rank 0; "
+                       "h permutes components by i -> 2*i mod 3",
+            "details": {"omega": 2, "fixed_rank": 0},
+        }, indent=2) + "\n"
+
     def test_grade_without_action(self, runner):
         result = runner.invoke(main, ["frobenius", "grade",
                                       fixture("heisenberg_f5.json")])
@@ -171,6 +213,11 @@ class TestRdep:
                                       "--r", "2", "--seq", "1,1", "--json"])
         doc = json.loads(result.output)
         assert doc == {"dependent": False, "witness": None}
+
+    def test_dep_independent_text(self, runner):
+        result = runner.invoke(main, ["rdep", "dep", "--n", "7", "--q", "3",
+                                      "--r", "2", "--seq", "1"])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "independent\n", "")
 
     def test_dep_zero_entry_exit_2(self, runner):
         result = runner.invoke(main, ["rdep", "dep", "--n", "7", "--q", "3",
@@ -207,6 +254,15 @@ class TestRdep:
                                       "--r", "2", "--seq", seq, "--m", "2"])
         assert result.exit_code == 0
         assert result.output.strip().startswith("1,")
+
+    @pytest.mark.parametrize("seq, line", [
+        ("1,2,3", '{"found": true, "subsequence": [1, 3]}\n'),
+        ("1,2,4", '{"found": false, "subsequence": null}\n'),
+    ])
+    def test_rigid_json(self, runner, seq, line):
+        result = runner.invoke(main, ["rdep", "rigid", "--n", "7", "--q", "3", "--r", "2",
+                                      "--seq", seq, "--m", "2", "--json"])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, line, "")
 
     def test_rigid_none(self, runner):
         result = runner.invoke(main, ["rdep", "rigid", "--n", "7", "--q", "3",

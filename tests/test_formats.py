@@ -158,6 +158,17 @@ def test_action_bad_conjugation_rejected():
     assert exc.value.path == "action"
 
 
+def test_a_fault_inside_frobenius_data_is_not_read_as_bad_input(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("a fault, not a refusal")
+
+    monkeypatch.setattr("alglab.formats.frobenius_data", broken)
+    doc = minimal_doc(p=7, dim=2, table=[],
+                      action={"n": 3, "q": 2, "r": 2, "phi": [[2, 0], [0, 4]], "h": [[0, 1], [1, 0]]})
+    with pytest.raises(RuntimeError, match="^a fault, not a refusal$"):
+        loads(json.dumps(doc))
+
+
 def test_action_grading_modulus_mismatch_rejected():
     doc = minimal_doc(
         p=7, dim=2, table=[],

@@ -219,10 +219,9 @@ def test_spec_from_document_missing_field():
 
 def test_survivor_documents_verify_cleanly():
     from alglab.formats import loads
-    from alglab.search import iter_survivor_documents
 
     res = search(CorpusSpec(p=2, n=3, component_dims=(0, 1, 1)))
-    for doc in iter_survivor_documents(res):
+    for doc in (s.document() for s in res.survivors):
         loaded = loads(json.dumps(doc))
         assert check_identity_uniform(loaded.algebra).ok
         exp = loaded.meta.expected

@@ -11,6 +11,7 @@ searches run with identity_filter off, so tables that fail the identity
 """
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from alglab import (
     HypothesisError,
     InputError,
     check_grading,
+    count_active_components,
     derived_length,
     make_algebra,
     nilpotency_class,
@@ -44,7 +46,7 @@ from alglab.rdep import (
 )
 from alglab.search import CorpusSpec, search
 from alglab.series import _stacked_lengths
-from conftest import oracle_rref
+from conftest import oracle_active_degrees, oracle_rref, oracle_selective_witness
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BIG_P = 2147483647
@@ -80,7 +82,7 @@ def oracle_selective_check(A, G, c, nqr):
             if acc.is_zero():
                 break
         if not acc.is_zero():
-            violations.append(_selective_witness(A, comps, tup))
+            violations.append(oracle_selective_witness(A, comps, tup))
     return SelectiveReport(not violations, c, checked, independent, tuple(violations))
 
 
@@ -248,3 +250,72 @@ def test_selective_report_of_the_empty_algebra():
     for c in (0, 1, 2):
         assert_same(selective_check(Z, Grading(3, ()), c, nqr),
                     oracle_selective_check(Z, Grading(3, ()), c, nqr))
+
+
+# -- the selective witness on seeded graded tables ------------------------------
+
+def graded_algebra(seed):
+    """A seeded random graded algebra: p in {2, 3, 5, 7}, n in {3, 5}, 3 to 6
+    basis vectors of nonzero degree, and each entry the grading allows
+    nonzero with probability 1/2."""
+    rng = random.Random(seed)
+    p, n, d = (2, 3, 5, 7)[seed % 4], rng.choice((3, 5)), rng.randrange(3, 7)
+    degrees = tuple(rng.randrange(1, n) for _ in range(d))
+    T = np.zeros((d, d, d), dtype=np.int64)
+    for i, j, k in np.ndindex(d, d, d):
+        if degrees[k] == (degrees[i] + degrees[j]) % n and rng.random() < 0.5:
+            T[i, j, k] = rng.randrange(1, p)
+    return make_algebra(p, d, T), Grading(n, degrees)
+
+
+def test_selective_witness_matches_the_basis_tuple_loop_on_seeded_tables():
+    """Every degree tuple of length 1 to 4 with a nonzero component product
+    gets the witness of the loop over basis tuples, and every report at
+    c = 0..3 is the per-tuple loop's."""
+    nonzero = violations = 0
+    for seed in range(90):
+        A, G = graded_algebra(seed)
+        comps = {i: component(A, G, i) for i in set(G.degrees)}
+        level = {(i,): S for i, S in comps.items()}
+        for length in (1, 2, 3, 4):
+            longer = {}
+            for tup, S in sorted(level.items()):
+                if S.is_zero():
+                    continue
+                nonzero += 1
+                assert_same(_selective_witness(A, G, tup), oracle_selective_witness(A, comps, tup))
+                if length < 4:
+                    longer.update({tup + (i,): subspace_product(A, S, N) for i, N in comps.items()})
+            level = longer
+        for nqr in triples(G.n):
+            for c in (0, 1, 2, 3):
+                want = oracle_selective_check(A, G, c, nqr)
+                assert_same(selective_check(A, G, c, nqr), want)
+                violations += len(want.violations)
+    assert nonzero >= 1000 and violations >= 500, (nonzero, violations)
+
+
+def test_active_counts_match_the_chain_loop():
+    """count_active_components against one chain of subspace products per
+    degree, on the graded fixtures and seeded gradings, at every b (those
+    with an empty component too) and c = 0..3; where selective nilpotency
+    fails the count is refused."""
+    cases = [(loaded.algebra, loaded.grading) for loaded in map(load, sorted(FIXTURES.glob("*.json")))
+             if loaded.grading is not None and 0 not in loaded.grading.degrees]
+    cases += [graded_algebra(seed) for seed in range(30)]
+    seen = Counter()
+    for A, G in cases:
+        for nqr in triples(G.n):
+            for c, b in iproduct((0, 1, 2, 3), range(G.n)):
+                try:
+                    got = count_active_components(A, G, c, nqr, b)
+                except HypothesisError as exc:
+                    assert str(exc) == "selective nilpotency fails; the count bound says nothing here"
+                    assert not selective_check(A, G, c, nqr).ok
+                    seen["refused"] += 1
+                    continue
+                assert got.active == oracle_active_degrees(A, G, c, b)
+                assert got.count == len(got.active)
+                seen[c, b in G.degrees, bool(got.active)] += 1
+    assert seen["refused"] and all(seen[c, True, True] for c in (0, 1, 2, 3))
+    assert all(seen[c, False, c == 0] for c in (0, 1, 2, 3))  # an empty L_b: all active at c = 0, none after
