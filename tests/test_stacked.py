@@ -8,6 +8,8 @@ identity survivor of a chunk, against the per-matrix and per-algebra paths.
 per-tuple loop it replaced, kept below as `oracle_selective_check`.  The
 searches run with identity_filter off, so tables that fail the identity
 (and the selective condition, and have no series length) are covered too.
+The witness picked one entry at a time and the stacked active counts are
+compared with the loops of `tests/conftest.py` on seeded graded tables.
 """
 
 import random
