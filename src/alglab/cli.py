@@ -21,7 +21,7 @@ import click
 
 from . import formats, rewrite, search as search_mod, verify as verify_mod
 from .errors import AlgLabError, InputError, InternalInvariantError
-from .frobenius import NQRTriple, checked_triple, validate_nqr
+from .frobenius import NQRTriple, validate_nqr
 from .grading import check_grading, nontrivial_components
 from .rdep import d_set, is_r_dependent, rigid_subsequence
 from .series import derived_series, lower_central_series
@@ -203,7 +203,7 @@ def _triple_options(command):
     @click.option("--r", type=int, required=True)
     @functools.wraps(command)
     def with_triple(n: int, q: int, r: int, **kwargs):
-        return command(checked_triple(n, q, r), **kwargs)
+        return command(NQRTriple(n, q, r), **kwargs)
     return with_triple
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,17 +32,18 @@ from .modular import divisors, element_of_order, multiplicative_order, order_fro
 
 @dataclass(frozen=True)
 class NQRTriple:
-    """Kernel order n, complement order q, and twist exponent r."""
+    """Kernel order n, complement order q, and twist exponent r of a Frobenius
+    group FH: r has order q modulo every divisor d > 1 of n, or InputError."""
 
     n: int
     q: int
     r: int
 
     def __post_init__(self):
-        if self.n < 1 or self.q < 1:
-            raise InputError("n and q must be >= 1")
-        if not (1 <= self.r <= self.n - 1):
-            raise InputError(f"r must satisfy 1 <= r <= n-1, got r={self.r}, n={self.n}")
+        res = validate_nqr(self.n, self.q, self.r)
+        if not res.valid:
+            raise InputError(f"(n={self.n}, q={self.q}, r={self.r}) fails the order condition "
+                             f"at divisor {res.witness}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,13 @@ class NQRResult:
 def validate_nqr(n: int, q: int, r: int) -> NQRResult:
     """Check that r has multiplicative order exactly q modulo every divisor
     d > 1 of n.  The divisor d = 1 is vacuous.  On failure the witnessing
-    divisor is returned.  The trial divisions are charged as they go: up to
-    sqrt(n) to list the divisors, then up to sqrt(d) each to factor d and
-    phi(d) for the order mod d."""
-    NQRTriple(n, q, r)  # range validation
+    divisor is returned; a triple out of range raises InputError.  The trial
+    divisions are charged as they go: up to sqrt(n) to list the divisors,
+    then up to sqrt(d) each to factor d and phi(d) for the order mod d."""
+    if n < 1 or q < 1:
+        raise InputError("n and q must be >= 1")
+    if not (1 <= r <= n - 1):
+        raise InputError(f"r must satisfy 1 <= r <= n-1, got r={r}, n={n}")
     what = f"the order condition on the divisors of {n}"
     spent = isqrt(n)
     check_work(spent, what)
@@ -67,14 +71,6 @@ def validate_nqr(n: int, q: int, r: int) -> NQRResult:
         if multiplicative_order(r, d) != q:
             return NQRResult(False, d)
     return NQRResult(True, None)
-
-
-def checked_triple(n: int, q: int, r: int) -> NQRTriple:
-    """(n, q, r) as an NQRTriple; InputError unless it passes validate_nqr."""
-    res = validate_nqr(n, q, r)
-    if not res.valid:
-        raise InputError(f"(n={n}, q={q}, r={r}) fails the order condition at divisor {res.witness}")
-    return NQRTriple(n, q, r)
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ def frobenius_data(A: Algebra, n: int, q: int, r: int, phi, h) -> FrobeniusData:
     supports an order-n root of unity (n | p-1, which also forces p to not
     divide n).
     """
-    triple = checked_triple(n, q, r)
+    triple = NQRTriple(n, q, r)
     if (A.p - 1) % n != 0:
         raise UnsupportedFieldError(f"n={n} does not divide p-1={A.p - 1}")
     phi = linalg.as_mat(phi, A.p)
@@ -266,7 +262,7 @@ def h_permutation_check(A: Algebra, G: Grading, fd: FrobeniusData) -> Permutatio
     degree vector alone.
 
     A and G live in the same basis as fd's matrices, and fd comes from
-    frobenius_data, so h is invertible and validate_nqr forces gcd(r, n) = 1.
+    frobenius_data, so h is invertible; NQRTriple guarantees gcd(r, n) = 1.
     Column j of h is the image of b_j, which must lie in L_{r*deg(j)}; an
     entry h[k, j] != 0 with deg(k) != r*deg(j) is stray and fails deg(j).
     If h maps every L_i into L_{r*i}, injectivity gives dim L_i <= dim
@@ -279,8 +275,6 @@ def h_permutation_check(A: Algebra, G: Grading, fd: FrobeniusData) -> Permutatio
     if G.n != n:
         raise InputError(f"grading modulus {G.n} != action modulus {n}")
     _check_dims(A, G)
-    if gcd(r, n) != 1:
-        raise InputError(f"r = {r} is not a unit mod n = {n}")
     r_inv = pow(r, -1, n)
     deg = np.asarray(G.degrees, dtype=np.int64)
     stray = (fd.h != 0) & (deg[:, None] != r * deg[None, :] % n)

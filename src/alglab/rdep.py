@@ -1,7 +1,7 @@
 """Dependence combinatorics for index sequences modulo n.
 
-A sequence (a_1, ..., a_k) of nonzero residues mod n is r-dependent (for a
-triple (n, q, r) passing validate_nqr) if
+A sequence (a_1, ..., a_k) of nonzero residues mod n is r-dependent (for an
+NQRTriple (n, q, r), so r has order q modulo every divisor d > 1 of n) if
 
     a_1 + ... + a_k  =  r^e_1 * a_1 + ... + r^e_k * a_k   (mod n)
 
@@ -9,6 +9,11 @@ for some exponent tuple (e_1, ..., e_k) in {0, ..., q-1}^k that is not all
 zero; otherwise it is r-independent.  Dependence is inherited by
 supersequences (append exponent 0 to the new entries), which is what makes
 backtracking search for independent subsequences sound.
+
+The order condition gives two facts the routines here rely on.  The twists
+r^0, ..., r^(q-1) are distinct mod n.  And 1 - r^e is a unit mod n for
+0 < e < q: if g = gcd(1 - r^e, n) > 1, then r^e = 1 mod g, against the order
+q of r mod g.
 
 Subtracting the plain sum, the condition says that the offsets
 (r^e_i - 1) * a_i sum to 0 mod n for some exponent tuple that is not all
@@ -62,10 +67,10 @@ _NO_MEMBERS = frozenset()  # shared by every empty D-set
 
 
 class _Triple(dict):
-    """Constants of one (n, q, r): the twists r^e, for each distinct r^e with
-    e >= 1 the data that solves (1 - r^e) j = b (mod n) through
-    gcd(1 - r^e, n), as a dict the offsets of the entries seen so far, and
-    the last walk: a sequence and the offset sums after each of its prefixes."""
+    """Constants of one (n, q, r): the q distinct twists r^e, the units
+    1/(1 - r^e) mod n for e >= 1, as a dict the offsets of the entries seen
+    so far, and the last walk: a sequence and the offset sums after each of
+    its prefixes."""
 
     def __init__(self, n: int, q: int, r: int):
         super().__init__()
@@ -73,19 +78,9 @@ class _Triple(dict):
         self.last = ((), (self.empty,))
         self.what = f"r-dependence mod {n} at q = {q}"
         check_work(2 * q, self.what)  # each twist and its inverse: about 2 µs
-        self.powers = tuple(pow(r, e, n) for e in range(q))
-        self.twists = tuple(dict.fromkeys(self.powers))
-        self.nonzero = tuple(dict.fromkeys(self.powers[1:]))
-        units, solvers = [], []
-        for w in self.nonzero:
-            c = (1 - w) % n
-            g = gcd(c, n)  # g = n when r^e = 1: then every j solves b = 0
-            if g == 1:
-                units.append(pow(c, -1, n))
-            else:
-                solvers.append((g, n // g, pow(c // g, -1, n // g)))
-        self.units = tuple(units)      # 1/(1 - r^e) where that is a unit mod n
-        self.solvers = tuple(solvers)  # (g, n/g, 1/((1 - r^e)/g) mod n/g) otherwise
+        self.twists = tuple(pow(r, e, n) for e in range(q))
+        self.nonzero = self.twists[1:]
+        self.units = tuple(pow(1 - w, -1, n) for w in self.nonzero)  # 1/(1 - r^e) mod n
 
     def __missing__(self, a):
         """The offsets (r^e - 1) a over all e, those over e >= 1, and the set
@@ -195,7 +190,7 @@ def _first_witness(c: _Triple, seq: tuple[int, ...]) -> tuple[int, ...]:
     exps, s = [0] * i, 0
     for a in map(int, seq[i:]):  # numpy entries would overflow the shifts
         sums.pop()  # sums[-1]: the offset sums of the entries after a
-        for e, w in enumerate(c.powers):
+        for e, w in enumerate(c.twists):
             t = (w - 1) * a % n
             if (e or len(exps) > i) and c.has(sums[-1], (-s - t) % n):
                 break
@@ -245,8 +240,8 @@ def d_set(nqr: NQRTriple, prefix: Sequence[int]) -> DSet:
 
     The prefix must be r-independent.  With R the offset sums of the prefix
     that use a nonzero exponent, prefix + (j,) is dependent exactly when
-    (1 - r^e) j = b (mod n) for some e >= 1 and some b in R or b = 0; these
-    congruences are solved through gcd(1 - r^e, n).  The result is certified
+    (1 - r^e) j = b (mod n) for some e >= 1 and some b in R or b = 0, that
+    is j = b / (1 - r^e), as 1 - r^e is a unit mod n.  The result is certified
     against the cardinality bound q^(k+1); exceeding it would falsify a
     proven statement, so that raises InternalInvariantError rather than
     returning.
@@ -260,10 +255,6 @@ def d_set(nqr: NQRTriple, prefix: Sequence[int]) -> DSet:
     offsets = c.elements(reach | c.origin)
     check_work(len(offsets) * len(c.nonzero) // 2, c.what)  # about 0.5 µs a pair
     members = {b * u % n for u in c.units for b in offsets}
-    for g, m, inv in c.solvers:
-        for b in offsets:
-            if b % g == 0:
-                members.update(range(b // g * inv % m, n, m))
     members.discard(0)
     if len(members) > q ** (k + 1):
         raise InternalInvariantError(

@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import Algebra, _identity_mask, _identity_steps
 from .errors import WORK_BUDGET, FormatError, InputError, check_work
 from .formats import LoadedAlgebra, _as_int, _known_fields, _need, to_document
-from .frobenius import NQRTriple, validate_nqr
+from .frobenius import NQRTriple
 from .grading import Grading, _graded_entries
 from .modular import check_prime
 from .rdep import _selective_violations
@@ -97,12 +97,7 @@ def validate_spec(spec: CorpusSpec) -> CorpusSpec:
     if spec.selective is not None:
         if spec.selective.c < 0:
             raise InputError("selective filter needs c >= 0")
-        res = validate_nqr(spec.n, spec.selective.q, spec.selective.r)
-        if not res.valid:
-            raise InputError(
-                f"selective filter triple (n={spec.n}, q={spec.selective.q}, "
-                f"r={spec.selective.r}) is invalid (witness divisor {res.witness})"
-            )
+        NQRTriple(spec.n, spec.selective.q, spec.selective.r)
         if spec.component_dims[0] != 0:
             raise InputError("selective filter requires the zero component to vanish")
     return spec

@@ -8,9 +8,9 @@ hypotheses fail are reported as skipped and do not affect the exit code;
 requesting such a check explicitly yields exit 2.  A certified bound that
 fails inside a check (InternalInvariantError) is that check's violation, so
 under "all" the other checks still report.  The checks of one call share one
-computation of each report (identity, grading, both series).  The frobenius
-check computes nothing of the n eigenspaces: the loader has already proved
-what it reports.
+computation of each report (identity, grading, both series), but
+rdep.selective_check validates the grading again.  The frobenius check
+computes nothing of the n eigenspaces: the loader has proved what it reports.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def _check_frobenius(facts: _Facts, c: Optional[int]) -> CheckResult:
     - phi is diagonalizable: phi^n = 1 and n | p - 1 give x^n - 1 n distinct
       roots in F_p, so L is the sum of the L_i = ker(phi - omega^i).
     - phi h = h phi^r gives h L_i <= L_{r*i mod n}.
-    - i -> r*i is a permutation of Z/n (validate_nqr forces gcd(r, n) = 1)
+    - i -> r*i is a permutation of Z/n (NQRTriple guarantees gcd(r, n) = 1)
       and h is invertible, so h maps each L_i onto L_{r*i mod n}.
     """
     name = "frobenius"

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from alglab import (
     span,
     validate_nqr,
 )
+from alglab import rdep
 from alglab.formats import load
 from alglab.frobenius import _order_dividing
 from alglab.linalg import matmul, mat_inv, mat_pow, nullspace
@@ -36,13 +39,23 @@ def test_validate_nqr_witness_divisor():
     res = validate_nqr(6, 2, 5)
     assert not res.valid
     assert res.witness == 2  # 5 = 1 mod 2 has order 1, not 2
+    # the type refuses such a triple at that divisor, also when one is replaced
+    for make, d in ((lambda: NQRTriple(6, 2, 5), 2),
+                    (lambda: replace(NQRTriple(7, 3, 2), r=3), 7)):  # 3 has order 6 mod 7
+        with pytest.raises(InputError, match=f" fails the order condition at divisor {d}$"):
+            make()
 
 
 def test_validate_nqr_range_errors():
-    with pytest.raises(InputError):
-        validate_nqr(7, 3, 0)
-    with pytest.raises(InputError):
-        validate_nqr(7, 3, 7)
+    ranges = ((7, 3, 0, "r must satisfy 1 <= r <= n-1, got r=0, n=7"),
+              (7, 3, 7, "r must satisfy 1 <= r <= n-1, got r=7, n=7"),
+              (1, 1, 1, "r must satisfy 1 <= r <= n-1, got r=1, n=1"),
+              (7, 0, 1, "n and q must be >= 1"))
+    for n, q, r, message in ranges:
+        for f in (validate_nqr, NQRTriple):
+            with pytest.raises(InputError) as exc:
+                f(n, q, r)
+            assert str(exc.value) == message
 
 
 def test_validate_nqr_composite_modulus():
@@ -258,10 +271,9 @@ def test_h_permutation_check_refuses_a_mismatched_grading():
         h_permutation_check(A, Grading(4, (1, 2)), fd)
     with pytest.raises(InputError, match="^grading labels 1 vectors, algebra has dim 2$"):
         h_permutation_check(A, Grading(3, (1,)), fd)
-    # bypass the factory: r = 2 is not a unit mod 4, which validate_nqr rules out
-    fd = FrobeniusData(NQRTriple(4, 2, 2), np.diag([2, 4]), np.eye(2, dtype=np.int64))
-    with pytest.raises(InputError, match="^r = 2 is not a unit mod n = 4$"):
-        h_permutation_check(A, Grading(4, (1, 2)), fd)
+    # r = 2 is not a unit mod 4: no NQRTriple, so no action package to check
+    with pytest.raises(InputError, match="^[(]n=4, q=2, r=2[)] fails the order condition at divisor 2$"):
+        NQRTriple(4, 2, 2)
 
 
 # every valid (n, q, r) with n <= 13
@@ -361,16 +373,22 @@ def test_h_permutation_check_matches_the_oracle_on_action_files():
 
 
 def test_single_entries_never_twist_back():
-    # for every valid triple with n <= 200, a != r^e * a for 0 < e < q
+    # for every valid triple with n <= 200, a != r^e * a for 0 < e < q and every
+    # nonzero a: equivalently gcd(r^e - 1, n) = 1, as a g > 1 makes a = n/g a zero.
+    # rdep's D-sets divide by 1 - r^e through the units it keeps for each triple.
+    triples = 0
     for n in range(2, 201):
         for r in range(1, n):
             q = multiplicative_order(r, n)
             if q is None or not validate_nqr(n, q, r).valid:
                 continue
-            powers = [pow(r, e, n) for e in range(1, q)]
-            for a in range(1, n):
-                for rp in powers:
-                    assert (rp * a - a) % n != 0, (n, q, r, a)
+            triples += 1
+            units = rdep._constants(n, q, r).units
+            for e in range(1, q):
+                w = pow(r, e, n)
+                assert gcd(w - 1, n) == 1, (n, q, r, e)
+                assert units[e - 1] * (1 - w) % n == 1, (n, q, r, e)
+    assert triples == 4446
 
 
 def test_validate_nqr_implies_order_q_mod_n():

@@ -6,7 +6,7 @@ walked all q^k exponent tuples in lexicographic order, and `d_set` built the
 twisted prefix sums of every exponent tuple as numpy arrays and tested every j
 against them.  They share no code with the reachable sets, so they check the
 predicate, the witness (the first tuple in lexicographic order), the D-sets
-and the errors raised, on valid and invalid (n, q, r) alike.  The call-order
+and the errors raised, on every valid (n, q, r) up to a modulus.  The call-order
 tests check that reusing the last walk on a triple changes nothing: in any
 order and from several threads, every result equals the one from an empty
 cache.
@@ -173,10 +173,12 @@ def sequences(n, rng, full_below=8, per_length=6):
     return out
 
 
-def all_triples(n, qs=range(1, 6)):
-    """Every (n, q, r) the NQRTriple range check accepts, valid or not."""
-    for q in qs:
-        for r in range(1, n):
+def all_triples(n):
+    """Every valid (n, q, r) for one n: q is the order of r mod n, and r has
+    order q modulo every divisor of n as well."""
+    for r in range(1, n):
+        q = multiplicative_order(r, n)
+        if q is not None and validate_nqr(n, q, r).valid:
             yield NQRTriple(n, q, r)
 
 
@@ -199,7 +201,7 @@ def test_dependence_and_d_sets_match_the_scans(n):
             assert_agree(nqr, seq)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 9, 12])
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 9, 12, 15])
 def test_set_representation_matches_the_scans(sparse_sets, n):
     assert isinstance(rdep._constants(n, 1, 1), rdep._SparseTriple)
     rng = random.Random(-n)
@@ -222,7 +224,7 @@ def test_large_modulus_uses_sets_and_matches_the_scans():
 
 def test_numpy_entries_match_the_scans():
     rng = random.Random(0xA77)
-    for n, q, r in [(199, 2, 198), (127, 7, 2), (91, 3, 9), (12, 2, 5)]:
+    for n, q, r in [(199, 2, 198), (127, 7, 2), (91, 3, 9), (35, 2, 34)]:
         nqr = NQRTriple(n, q, r)
         for _ in range(40):
             seq = np.array([rng.randrange(1, n) for _ in range(rng.randrange(1, 4))])
@@ -276,10 +278,10 @@ def test_empty_d_sets_take_under_100_bytes_each():
 
 
 def test_d_set_bound_violation_on_an_invalid_triple():
-    # r = 5 has order 2 mod 12 but not mod 2 or 4, so the bound does not apply
-    nqr = NQRTriple(12, 2, 5)
-    got, want = outcome(d_set, nqr, [1]), outcome(oracle_d_set, nqr, [1])
-    assert got == want and got[0] is InternalInvariantError
+    # r = 5 has order 2 mod 12 but not mod 2 or 4: no NQRTriple, so no D-set
+    with pytest.raises(InputError) as exc:
+        NQRTriple(12, 2, 5)
+    assert str(exc.value) == "(n=12, q=2, r=5) fails the order condition at divisor 2"
 
 
 def test_bit_mask_members_match_the_digit_scan():
@@ -300,10 +302,7 @@ FUNCS = (is_r_dependent, is_r_independent, d_set)
 
 def valid_triples(max_n):
     for n in range(2, max_n + 1):
-        for r in range(1, n):
-            q = multiplicative_order(r, n)
-            if q is not None and validate_nqr(n, q, r).valid:
-                yield NQRTriple(n, q, r)
+        yield from all_triples(n)
 
 
 def cold(f, *args):
@@ -388,10 +387,9 @@ def test_threads_sharing_a_triple_match_the_sequential_results(threads):
 
 def test_rigid_subsequences_match_the_scan():
     rng = random.Random(0x51D)
-    for n, q, r in [(7, 3, 2), (13, 3, 3), (31, 5, 2), (11, 5, 3), (12, 2, 5)]:
-        nqr = NQRTriple(n, q, r)
+    for nqr in [*valid_triples(25), NQRTriple(31, 5, 2)]:
         for _ in range(12):
-            seq = [rng.randrange(1, n) for _ in range(rng.randrange(1, 12))]
+            seq = [rng.randrange(1, nqr.n) for _ in range(rng.randrange(1, 12))]
             for m in (1, 2, 3):
                 assert rigid_subsequence(nqr, seq, m) == oracle_rigid_subsequence(nqr, seq, m)
 

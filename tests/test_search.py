@@ -92,11 +92,11 @@ def test_validate_spec_limits():
             CorpusSpec(p=2, n=3, component_dims=(1, 1, 0),
                        selective=SelectiveFilter(1, 2, 2))
         )  # selective needs zero L_0
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^\(n=3, q=2, r=1\) fails the order condition at divisor 3$"):
         validate_spec(
             CorpusSpec(p=2, n=3, component_dims=(0, 1, 1),
                        selective=SelectiveFilter(1, 2, 1))
-        )  # r = 1 has order 1, not q = 2
+        )  # r = 1 has order 1, not q = 2: NQRTriple's refusal
 
 
 @pytest.mark.parametrize("p, survivors", [(5, 9), (7, 13)])
